@@ -1,5 +1,7 @@
 """Tests for the factorization container format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,50 @@ class TestRoundTrip:
         )
         subprocess.run([sys.executable, "-c", script], check=True)
         np.testing.assert_array_equal(np.load(tmp_path / "u.npy"), apply(f, q))
+
+
+def blocks_in_level_order(f):
+    """(column basis, row basis, discrepancy) of every non-root node, in
+    level order."""
+    return [(f.u_bases[nd.id], f.v_bases[nd.id], f.discs[nd.id]) for nd in f.tree.nodes[1:]]
+
+
+class TestFileLayout:
+    def test_uneven_leaves_byte_layout(self, tmp_path):
+        # parse the bytes by hand, per the README "File format" section,
+        # so a drift shared by save and load still fails
+        tree = build_tree(101, 12)
+        r = 4
+        f = random_hbs(tree, r, seed=10)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        data = path.read_bytes()
+
+        header = struct.Struct("<4sIQIII")
+        assert header.unpack_from(data, 0) == (b"HBSF", 1, 101, r, tree.depth, 12)
+        offset = header.size
+
+        blocks = blocks_in_level_order(f)
+        assert len(blocks) == 2 ** (tree.depth + 1) - 2
+        rows = struct.unpack_from(f"<{len(blocks)}I", data, offset)
+        offset += 4 * len(blocks)
+        leaf_rows = rows[-(2**tree.depth) :]
+        assert rows[: -len(leaf_rows)] == (2 * r,) * (len(rows) - len(leaf_rows))
+        assert set(leaf_rows) == {6, 7} and sum(leaf_rows) == 101
+
+        def take(shape):
+            nonlocal offset
+            count = shape[0] * shape[1]
+            block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+            offset += 8 * count
+            return block.reshape(shape, order="F")
+
+        for (u, v, d), q in zip(blocks, rows):
+            np.testing.assert_array_equal(take((q, r)), u)
+            np.testing.assert_array_equal(take((q, r)), v)
+            np.testing.assert_array_equal(take((q, q)), d)
+        np.testing.assert_array_equal(take((2 * r, 2 * r)), f.root_disc)
+        assert offset == len(data)
 
 
 class TestFormatErrors:
