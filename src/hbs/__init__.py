@@ -14,23 +14,18 @@ if _threads:
 del os, _threads
 
 from .compress import (
-    CompressedNode,
     CompressionConfig,
-    NodeSamples,
     SampleSet,
     compress,
     compress_from_samples,
-    compute_discrepancy,
-    compute_root,
     draw_samples,
-    leaf_node_samples,
-    lift_to_parent,
 )
 from .errors import (
     ConfigurationError,
     DimensionError,
     FormatError,
     IllConditionedProbeError,
+    NonFiniteError,
     ResourceLimitError,
 )
 from .factorization import (
@@ -43,16 +38,14 @@ from .factorization import (
     storage,
     to_dense,
 )
-from .linalg import col, gaussian_matrix, lstsq_right, nullspace, power_method_relnorm
 from .oracle import MatVecOracle
 from .serialize import load_factorization, save_factorization
-from .tree import ClusterTree, Node, build_tree, nodes_at_level
+from .tree import ClusterTree, build_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClusterTree",
-    "CompressedNode",
     "CompressionConfig",
     "ConfigurationError",
     "DimensionError",
@@ -60,8 +53,7 @@ __all__ = [
     "HbsFactorization",
     "IllConditionedProbeError",
     "MatVecOracle",
-    "Node",
-    "NodeSamples",
+    "NonFiniteError",
     "ResourceLimitError",
     "SampleSet",
     "StorageReport",
@@ -69,20 +61,10 @@ __all__ = [
     "apply_matrix",
     "apply_transpose",
     "build_tree",
-    "col",
     "compress",
     "compress_from_samples",
-    "compute_discrepancy",
-    "compute_root",
     "draw_samples",
-    "gaussian_matrix",
-    "leaf_node_samples",
-    "lift_to_parent",
     "load_factorization",
-    "lstsq_right",
-    "nodes_at_level",
-    "nullspace",
-    "power_method_relnorm",
     "random_hbs",
     "save_factorization",
     "storage",

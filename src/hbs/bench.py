@@ -100,8 +100,11 @@ def _timed_apply(f, seed):
     return (time.perf_counter() - start) / reps
 
 
-def run_with_factorization(problem, n, config, power_iters=20):
-    """As `run_once`, but also returns the factorization (for saving)."""
+def run_once(
+    problem: str, n: int, config: CompressionConfig, power_iters: int = 20
+) -> tuple[RunRecord, factorization.HbsFactorization]:
+    """Compress one problem instance and measure the reported quantities;
+    returns (record, factorization)."""
     tree = build_tree(n, config.leaf_threshold)
     s = config.validate_for(tree)  # reject bad configs before oracle assembly
     oracle = build_oracle(problem, n, config)
@@ -129,12 +132,6 @@ def run_with_factorization(problem, n, config, power_iters=20):
     return record, f
 
 
-def run_once(problem: str, n: int, config: CompressionConfig, power_iters: int = 20) -> RunRecord:
-    """Compress one problem instance and measure the reported quantities."""
-    record, _ = run_with_factorization(problem, n, config, power_iters)
-    return record
-
-
 def sweep(problem, n_list, config, out_path, power_iters=20, as_json=False):
     """Run `run_once` over ascending sizes, flushing one output row per run
     so partial results survive a failed size."""
@@ -146,7 +143,7 @@ def sweep(problem, n_list, config, out_path, power_iters=20, as_json=False):
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         for n in n_list:
-            record = run_once(problem, n, config, power_iters=power_iters)
+            record, _ = run_once(problem, n, config, power_iters=power_iters)
             fh.write((record.json_row() if as_json else record.csv_row()) + "\n")
             fh.flush()
             records.append(record)

@@ -3,17 +3,17 @@
 Subcommands: `compress` (one run, optionally saving the factorization),
 `sweep` (a size sweep written as CSV or JSON lines), and `verify`
 (recompute the error estimate for a saved factorization against a freshly
-built oracle).  Exit codes: 0 success, 2 configuration error, 3
-ill-conditioned probe matrix.
+built oracle).  Exit codes: 0 success, 2 configuration error or
+non-finite oracle output, 3 ill-conditioned probe matrix.
 """
 
 import argparse
 import dataclasses
 import sys
 
-from .bench import PROBLEMS, build_oracle, estimate_rel_err, run_with_factorization, sweep
+from .bench import PROBLEMS, build_oracle, estimate_rel_err, run_once, sweep
 from .compress import CompressionConfig
-from .errors import ConfigurationError, DimensionError, IllConditionedProbeError
+from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from .serialize import load_factorization, save_factorization
 
 EXIT_CONFIG = 2
@@ -81,7 +81,7 @@ def _print_record(record, as_json):
 
 
 def _cmd_compress(args):
-    record, f = run_with_factorization(
+    record, f = run_once(
         args.problem, args.n, _config(args), power_iters=args.power_iters
     )
     if args.save:
@@ -128,6 +128,9 @@ def main(argv=None) -> int:
         return handler(args)
     except (ConfigurationError, DimensionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NonFiniteError as exc:
+        print(f"non-finite data: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IllConditionedProbeError as exc:
         print(f"ill-conditioned probe: {exc}", file=sys.stderr)

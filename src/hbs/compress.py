@@ -26,7 +26,7 @@ from .linalg import (
     nullspace,
 )
 from .oracle import MatVecOracle
-from .tree import ClusterTree, Node, build_tree
+from .tree import ClusterTree, build_tree
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,10 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Global probe quadruple: test matrices omega/psi and their images
-    y = A omega, z = A^T psi."""
+    """Probe quadruple: test matrices omega/psi and their images
+    y = A omega, z = A^T psi.  Globally these have n rows; one node's
+    quadruple is a row slice of them (leaf), or their lifted 2r-row
+    counterparts (parent)."""
 
     omega: np.ndarray
     psi: np.ndarray
@@ -85,48 +87,17 @@ class SampleSet:
         if len(shapes) != 1:
             raise DimensionError(f"sample matrices must share one shape, got {shapes}")
 
+    def __getitem__(self, rows) -> "SampleSet":
+        """The quadruple restricted to some rows, e.g. one leaf's range."""
+        return SampleSet(omega=self.omega[rows], psi=self.psi[rows], y=self.y[rows], z=self.z[rows])
+
     @property
-    def n(self) -> int:
+    def rows(self) -> int:
         return self.omega.shape[0]
 
     @property
     def probes(self) -> int:
         return self.omega.shape[1]
-
-
-@dataclass(frozen=True)
-class NodeSamples:
-    """One node's rows of the probe quadruple (leaf), or their lifted
-    2r-row counterparts (parent)."""
-
-    omega_t: np.ndarray
-    psi_t: np.ndarray
-    y_t: np.ndarray
-    z_t: np.ndarray
-
-    def __post_init__(self):
-        shapes = {self.omega_t.shape, self.psi_t.shape, self.y_t.shape, self.z_t.shape}
-        if len(shapes) != 1:
-            raise DimensionError(f"node sample matrices must share one shape, got {shapes}")
-
-    @property
-    def rows(self) -> int:
-        return self.omega_t.shape[0]
-
-    @property
-    def probes(self) -> int:
-        return self.omega_t.shape[1]
-
-
-@dataclass(frozen=True)
-class CompressedNode:
-    """A fully compressed node: its bases, discrepancy block, and the
-    samples it consumed (needed once more when lifting to the parent)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    disc: np.ndarray
-    samples: NodeSamples
 
 
 def draw_samples(oracle: MatVecOracle, s: int, seed: int) -> SampleSet:
@@ -141,22 +112,11 @@ def draw_samples(oracle: MatVecOracle, s: int, seed: int) -> SampleSet:
     return SampleSet(omega=omega, psi=psi, y=y, z=z)
 
 
-def leaf_node_samples(samples: SampleSet, node: Node) -> NodeSamples:
-    """Row-slice the global quadruple to one leaf's index range."""
-    sl = slice(node.begin, node.end)
-    return NodeSamples(
-        omega_t=samples.omega[sl],
-        psi_t=samples.psi[sl],
-        y_t=samples.y[sl],
-        z_t=samples.z[sl],
-    )
-
-
-def compress_node_bases(ns: NodeSamples, r: int):
+def compress_node_bases(ns: SampleSet, r: int):
     """Recover the node's bases from its samples.
 
-    Projecting the probes onto null(omega_t) removes the diagonal block's
-    contribution, so y_t @ P is a randomized sample of the node's
+    Projecting the probes onto null(omega) removes the diagonal block's
+    contribution, so y @ P is a randomized sample of the node's
     off-diagonal row block; orthonormalizing it gives the column basis.
     The row basis comes from the transposed-side quadruple the same way.
     Returns (u, v, p, q) with p, q the nullspace projectors used.
@@ -166,19 +126,19 @@ def compress_node_bases(ns: NodeSamples, r: int):
             f"probe count {ns.probes} leaves nullity {ns.probes - ns.rows} < rank {r} "
             f"for a {ns.rows}-row node; increase the probe count s"
         )
-    p = nullspace(ns.omega_t, r)
+    p = nullspace(ns.omega, r)
     add_madds(matmul_madds(ns.rows, ns.probes, r))
-    u = col(ns.y_t @ p, r)
-    q = nullspace(ns.psi_t, r)
+    u = col(ns.y @ p, r)
+    q = nullspace(ns.psi, r)
     add_madds(matmul_madds(ns.rows, ns.probes, r))
-    v = col(ns.z_t @ q, r)
+    v = col(ns.z @ q, r)
     return u, v, p, q
 
 
 def compute_discrepancy(
     u: np.ndarray,
     v: np.ndarray,
-    ns: NodeSamples,
+    ns: SampleSet,
     tol: float = DEFAULT_ILL_CONDITIONING_TOL,
 ) -> np.ndarray:
     """Recover the discrepancy block from the node's samples.
@@ -189,16 +149,17 @@ def compute_discrepancy(
     node's test rows.
     """
     rows = ns.rows
-    y_solve = lstsq_right(ns.y_t, ns.omega_t, tol)
-    z_solve = lstsq_right(ns.z_t, ns.psi_t, tol)
+    y_solve = lstsq_right(ns.y, ns.omega, tol)
+    z_solve = lstsq_right(ns.z, ns.psi, tol)
     add_madds(6 * matmul_madds(u.shape[1], rows, rows))
     left = y_solve - u @ (u.T @ y_solve)
     right = u @ (u.T @ (z_solve - v @ (v.T @ z_solve)).T)
     return left + right
 
 
-def lift_to_parent(alpha: CompressedNode, beta: CompressedNode) -> NodeSamples:
-    """Combine two compressed children into their parent's test/sample rows.
+def lift_to_parent(alpha, beta) -> SampleSet:
+    """Combine two compressed children, each given as (u, v, disc,
+    samples), into their parent's test/sample rows.
 
     Test rows are the probes seen through the children's bases; sample rows
     first subtract what the children's own discrepancy blocks already
@@ -207,30 +168,24 @@ def lift_to_parent(alpha: CompressedNode, beta: CompressedNode) -> NodeSamples:
     """
 
     def lifted(child):
-        ns = child.samples
+        u, v, disc, ns = child
         rows, s = ns.rows, ns.probes
-        r = child.u.shape[1]
+        r = u.shape[1]
         add_madds(4 * matmul_madds(r, rows, s) + 2 * matmul_madds(rows, rows, s))
         return (
-            child.v.T @ ns.omega_t,
-            child.u.T @ ns.psi_t,
-            child.u.T @ (ns.y_t - child.disc @ ns.omega_t),
-            child.v.T @ (ns.z_t - child.disc.T @ ns.psi_t),
+            v.T @ ns.omega,
+            u.T @ ns.psi,
+            u.T @ (ns.y - disc @ ns.omega),
+            v.T @ (ns.z - disc.T @ ns.psi),
         )
 
-    blocks = tuple(zip(lifted(alpha), lifted(beta)))
-    return NodeSamples(
-        omega_t=np.vstack(blocks[0]),
-        psi_t=np.vstack(blocks[1]),
-        y_t=np.vstack(blocks[2]),
-        z_t=np.vstack(blocks[3]),
-    )
+    return SampleSet(*(np.vstack(pair) for pair in zip(lifted(alpha), lifted(beta))))
 
 
-def compute_root(ns: NodeSamples, tol: float = DEFAULT_ILL_CONDITIONING_TOL) -> np.ndarray:
+def compute_root(ns: SampleSet, tol: float = DEFAULT_ILL_CONDITIONING_TOL) -> np.ndarray:
     """At the root the whole remaining operator is the core, so one
     least-squares solve against the lifted test rows recovers it."""
-    return lstsq_right(ns.y_t, ns.omega_t, tol)
+    return lstsq_right(ns.y, ns.omega, tol)
 
 
 def compress_from_samples(
@@ -238,46 +193,37 @@ def compress_from_samples(
 ) -> HbsFactorization:
     """Run the level sweep on an already-drawn sample quadruple (the
     post-sampling arithmetic; touches no oracle)."""
-    if samples.n != tree.n:
-        raise DimensionError(f"samples are for n={samples.n}, tree has n={tree.n}")
+    if samples.rows != tree.n:
+        raise DimensionError(f"samples are for n={samples.rows}, tree has n={tree.n}")
     r = config.rank
     tol = config.ill_conditioning_tol
-    u_bases: dict[int, np.ndarray] = {}
-    v_bases: dict[int, np.ndarray] = {}
-    discs: dict[int, np.ndarray] = {}
-    state: dict[int, CompressedNode] = {}
-
+    f = HbsFactorization.zeros(tree, r)
+    bounds = tree.offsets
+    level_samples = [samples[begin:end] for begin, end in zip(bounds, bounds[1:])]
     for level in range(tree.depth, 0, -1):
-        for node in tree.nodes_at_level(level):
-            if node.is_leaf:
-                ns = leaf_node_samples(samples, node)
-            else:
-                a, b = node.children
-                ns = lift_to_parent(state.pop(a), state.pop(b))
+        done = []  # (u, v, disc, samples) of this level's nodes, left to right
+        for j, ns in enumerate(level_samples):
             try:
                 u, v, _, _ = compress_node_bases(ns, r)
                 d = compute_discrepancy(u, v, ns, tol)
             except IllConditionedProbeError as exc:
-                raise IllConditionedProbeError(
-                    f"node {node.id} (level {node.level}): {exc}",
-                    node_id=node.id,
-                    level=node.level,
-                ) from exc
-            u_bases[node.id] = u
-            v_bases[node.id] = v
-            discs[node.id] = d
-            state[node.id] = CompressedNode(u=u, v=v, disc=d, samples=ns)
-
-    root = tree.root
-    a, b = root.children
-    root_ns = lift_to_parent(state.pop(a), state.pop(b))
+                raise _at_node(exc, level, j) from exc
+            for block, value in zip(f.node_blocks(level, j), (u, v, d)):
+                block[...] = value
+            done.append((u, v, d, ns))
+        level_samples = [lift_to_parent(done[k], done[k + 1]) for k in range(0, len(done), 2)]
     try:
-        root_disc = compute_root(root_ns, tol)
+        f.root_disc[...] = compute_root(level_samples[0], tol)
     except IllConditionedProbeError as exc:
-        raise IllConditionedProbeError(
-            f"node {root.id} (level {root.level}): {exc}", node_id=root.id, level=root.level
-        ) from exc
-    return HbsFactorization(tree, r, u_bases, v_bases, discs, root_disc)
+        raise _at_node(exc, 0, 0) from exc
+    return f
+
+
+def _at_node(exc: IllConditionedProbeError, level: int, j: int) -> IllConditionedProbeError:
+    node_id = (1 << level) - 1 + j  # level-order id
+    return IllConditionedProbeError(
+        f"node {node_id} (level {level}): {exc}", node_id=node_id, level=level
+    )
 
 
 def compress(oracle: MatVecOracle, config: CompressionConfig) -> HbsFactorization:

@@ -5,6 +5,11 @@ class DimensionError(ValueError):
     """Operands have incompatible or out-of-range dimensions."""
 
 
+class NonFiniteError(ValueError):
+    """An oracle product or a matrix handed to the compressor holds NaN or
+    infinite entries."""
+
+
 class ConfigurationError(ValueError):
     """A requested configuration cannot produce a valid compression run."""
 

@@ -1,12 +1,13 @@
 """Compressed-operator container: a telescoping factorization over a cluster
-tree with per-node orthonormal bases and dense discrepancy blocks.
+tree with per-node orthonormal bases and dense discrepancy blocks, stored
+as one stack of blocks per tree level.
 
-Every non-root node tau stores a column basis u_basis[tau], a row basis
-v_basis[tau] (both with `rank` orthonormal columns), and a square
-discrepancy block disc[tau] holding the part of the node's diagonal block
-the bases cannot express.  The root stores only a 2*rank square core.
-Applying the represented operator is a single upward sweep, a root solve,
-and a downward sweep, in O(rank^2 * n) multiply-adds.
+Every non-root node tau stores a column basis, a row basis (both with
+`rank` orthonormal columns), and a square discrepancy block holding the
+part of the node's diagonal block the bases cannot express.  The root
+stores only a 2*rank square core.  Applying the represented operator is an
+upward sweep, a root product, and a downward sweep, one stacked matrix
+product per level and step, in O(rank^2 * n) multiply-adds.
 """
 
 from dataclasses import dataclass
@@ -22,125 +23,160 @@ DENSE_CAP_DEFAULT = 8192
 _ORTHONORMALITY_TOL = 1e-10
 
 
+def node_sizes(tree: ClusterTree, rank: int, level: int) -> tuple[int, ...]:
+    """Block rows of each node of one level: the leaf sizes at the leaf
+    level, 2*rank above it."""
+    return tree.leaf_sizes if level == tree.depth else (2 * rank,) * (1 << level)
+
+
 class HbsFactorization:
     """Telescoping factorization of a square operator over a cluster tree.
 
-    Blocks are keyed by node id.  Leaf bases are (leaf size x rank), parent
-    bases are (2*rank x rank); leaf discrepancies are square of the leaf
-    size, parent discrepancies and the root core are (2*rank x 2*rank).
+    For each level l = 1..depth, U[l] and V[l] stack the column and row
+    bases of the level's 2^l nodes, left to right, as (2^l, rows, rank)
+    arrays, and D[l] stacks their discrepancy blocks as (2^l, rows, rows);
+    index 0 of each list is None, since the root keeps only the
+    (2*rank x 2*rank) core `root_disc`.  Parent levels have rows = 2*rank.
+    The leaf level has rows = the largest leaf size: a leaf of size k keeps
+    its blocks in the leading k rows (and columns) and the rest is zero.
     """
 
-    def __init__(self, tree: ClusterTree, rank: int, u_bases, v_bases, discs, root_disc):
+    def __init__(self, tree: ClusterTree, rank: int, U, V, D, root_disc):
         self.tree = tree
         self.rank = rank
-        self.u_bases = u_bases
-        self.v_bases = v_bases
-        self.discs = discs
+        self.U = list(U)
+        self.V = list(V)
+        self.D = list(D)
         self.root_disc = np.asarray(root_disc, dtype=np.float64)
         self._check_shapes()
+
+    @classmethod
+    def zeros(cls, tree: ClusterTree, rank: int) -> "HbsFactorization":
+        """An all-zero factorization, for writers to fill block by block."""
+        U, V, D = [None], [None], [None]
+        for level in range(1, tree.depth + 1):
+            rows = tree.max_leaf_size if level == tree.depth else 2 * rank
+            U.append(np.zeros((1 << level, rows, rank)))
+            V.append(np.zeros((1 << level, rows, rank)))
+            D.append(np.zeros((1 << level, rows, rows)))
+        return cls(tree, rank, U, V, D, np.zeros((2 * rank, 2 * rank)))
 
     @property
     def n(self) -> int:
         return self.tree.n
 
-    def _expected_block_rows(self, node) -> int:
-        return node.size if node.is_leaf else 2 * self.rank
+    def node_blocks(self, level: int, j: int):
+        """Views of (column basis, row basis, discrepancy) of node j of a
+        level, leaf blocks cut to the leaf's size."""
+        rows = self.tree.leaf_sizes[j] if level == self.tree.depth else 2 * self.rank
+        return self.U[level][j, :rows], self.V[level][j, :rows], self.D[level][j, :rows, :rows]
 
     def _check_shapes(self):
-        r = self.rank
+        r, depth = self.rank, self.tree.depth
         if self.root_disc.shape != (2 * r, 2 * r):
             raise DimensionError(
                 f"root core must be {2 * r} x {2 * r}, got {self.root_disc.shape}"
             )
-        for node in self.tree.nodes[1:]:
-            rows = self._expected_block_rows(node)
-            for blocks, shape, kind in (
-                (self.u_bases, (rows, r), "column basis"),
-                (self.v_bases, (rows, r), "row basis"),
-                (self.discs, (rows, rows), "discrepancy"),
+        for stacks in (self.U, self.V, self.D):
+            if len(stacks) != depth + 1:
+                raise DimensionError(
+                    f"need block stacks for levels 0..{depth}, got {len(stacks)} entries"
+                )
+        for level in range(1, depth + 1):
+            rows = self.tree.max_leaf_size if level == depth else 2 * r
+            for stack, shape, kind in (
+                (self.U[level], (1 << level, rows, r), "column bases"),
+                (self.V[level], (1 << level, rows, r), "row bases"),
+                (self.D[level], (1 << level, rows, rows), "discrepancies"),
             ):
-                block = blocks[node.id]
-                if block.shape != shape:
+                if np.shape(stack) != shape:
                     raise DimensionError(
-                        f"node {node.id}: {kind} must be {shape[0]} x {shape[1]}, "
-                        f"got {block.shape}"
+                        f"level {level}: {kind} must be {shape}, got {np.shape(stack)}"
                     )
 
     def validate(self):
-        """Check orthonormality of every stored basis and finiteness of all
-        blocks; raises ValueError on violation."""
-        r = self.rank
-        eye = np.eye(r)
-        for node in self.tree.nodes[1:]:
-            for blocks, kind in ((self.u_bases, "column basis"), (self.v_bases, "row basis")):
-                basis = blocks[node.id]
-                defect = np.linalg.norm(basis.T @ basis - eye)
-                if not defect <= _ORTHONORMALITY_TOL:
+        """Check orthonormality of every stored basis, finiteness of all
+        blocks, and zero leaf padding; raises ValueError on violation."""
+        eye = np.eye(self.rank)
+        for level in range(1, self.tree.depth + 1):
+            first = (1 << level) - 1  # level-order id of the level's first node
+            for stack, kind in ((self.U[level], "column basis"), (self.V[level], "row basis")):
+                defect = np.linalg.norm(stack.transpose(0, 2, 1) @ stack - eye, axis=(1, 2))
+                bad = np.flatnonzero(~(defect <= _ORTHONORMALITY_TOL))
+                if bad.size:
                     raise ValueError(
-                        f"node {node.id}: {kind} orthonormality defect {defect:.3e}"
+                        f"node {first + bad[0]}: {kind} orthonormality defect "
+                        f"{defect[bad[0]]:.3e}"
                     )
-            if not np.isfinite(self.discs[node.id]).all():
-                raise ValueError(f"node {node.id}: discrepancy block has non-finite entries")
+            bad = np.flatnonzero(~np.isfinite(self.D[level]).all(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(
+                    f"node {first + bad[0]}: discrepancy block has non-finite entries"
+                )
         if not np.isfinite(self.root_disc).all():
             raise ValueError("root core has non-finite entries")
+        depth = self.tree.depth
+        pad = ~_real_rows(self.tree)
+        leaf_d = self.D[depth]
+        for stack in (self.U[depth], self.V[depth], leaf_d, leaf_d.transpose(0, 2, 1)):
+            if stack[pad].any():
+                raise ValueError("leaf blocks have nonzero entries outside the leaf size")
         return self
+
+
+def _real_rows(tree: ClusterTree) -> np.ndarray:
+    """(2^depth, max leaf size) mask of the leaf-stack rows that hold data;
+    in row-major order its True entries are the indices 0..n-1."""
+    return np.arange(tree.max_leaf_size) < np.array(tree.leaf_sizes)[:, None]
 
 
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Apply the represented operator (or its transpose) to the columns of q.
 
-    Upward pass projects each node's slice onto its row basis, the root core
-    couples the two halves, and the downward pass expands through column
-    bases while discrepancy blocks re-inject what the bases miss.
+    The upward pass projects each node's slice onto its row basis, the root
+    core couples the two halves, and the downward pass expands through
+    column bases while discrepancy blocks re-inject what the bases miss.
+    Each pass is one stacked product per level.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != f.n:
         raise DimensionError(f"expected a {f.n} x c matrix, got array of shape {q.shape}")
-    tree, r = f.tree, f.rank
+    tree, r, depth = f.tree, f.rank, f.tree.depth
     c = q.shape[1]
     # Transposing swaps the roles of the two basis families and transposes
     # every discrepancy block.
-    up_bases = f.u_bases if transpose else f.v_bases
-    down_bases = f.v_bases if transpose else f.u_bases
+    up_bases = f.U if transpose else f.V
+    down_bases = f.V if transpose else f.U
+    width = tree.max_leaf_size
+    uniform = tree.n == width << depth
+    if uniform:
+        x_leaf = q.reshape(1 << depth, width, c)
+    else:
+        real = _real_rows(tree)
+        x_leaf = np.zeros((1 << depth, width, c))
+        x_leaf[real] = q
 
-    def disc(node_id):
-        d = f.discs[node_id]
-        return d.T if transpose else d
-
-    qhat: dict[int, np.ndarray] = {}
-    for level in range(tree.depth, 0, -1):
-        for node in tree.nodes_at_level(level):
-            if node.is_leaf:
-                block = q[node.begin : node.end]
-            else:
-                a, b = node.children
-                block = np.vstack((qhat[a], qhat[b]))
-            add_madds(matmul_madds(r, block.shape[0], c))
-            qhat[node.id] = up_bases[node.id].T @ block
+    # x[l] stacks the inputs of the level-l nodes: leaf slices of q, then
+    # the two children's projections one above the other.
+    x = [None] * depth + [x_leaf]
+    for level in range(depth, 0, -1):
+        rows = tree.n if level == depth else (2 * r) << level
+        add_madds(matmul_madds(r, rows, c))
+        qhat = up_bases[level].transpose(0, 2, 1) @ x[level]
+        x[level - 1] = qhat.reshape(1 << (level - 1), 2 * r, c)
 
     root_core = f.root_disc.T if transpose else f.root_disc
-    a, b = tree.root.children
     add_madds(matmul_madds(2 * r, 2 * r, c))
-    coupled = root_core @ np.vstack((qhat[a], qhat[b]))
-    uhat = {a: coupled[:r], b: coupled[r:]}
-
-    out = np.empty_like(q)
-    for level in range(1, tree.depth + 1):
-        for node in tree.nodes_at_level(level):
-            if node.is_leaf:
-                add_madds(matmul_madds(node.size, r, c) + matmul_madds(node.size, node.size, c))
-                out[node.begin : node.end] = (
-                    down_bases[node.id] @ uhat[node.id] + disc(node.id) @ q[node.begin : node.end]
-                )
-            else:
-                a, b = node.children
-                add_madds(matmul_madds(2 * r, r, c) + matmul_madds(2 * r, 2 * r, c))
-                expanded = down_bases[node.id] @ uhat[node.id] + disc(node.id) @ np.vstack(
-                    (qhat[a], qhat[b])
-                )
-                uhat[a] = expanded[:r]
-                uhat[b] = expanded[r:]
-    return out
+    y = root_core @ x[0][0]
+    for level in range(1, depth + 1):
+        if level == depth:
+            rows, squares = tree.n, sum(size * size for size in tree.leaf_sizes)
+        else:
+            rows, squares = (2 * r) << level, (4 * r * r) << level
+        add_madds(matmul_madds(rows, r, c) + c * squares)
+        disc = f.D[level].transpose(0, 2, 1) if transpose else f.D[level]
+        y = down_bases[level] @ y.reshape(1 << level, r, c) + disc @ x[level]
+    return y.reshape(tree.n, c) if uniform else y[real]
 
 
 def apply(f: HbsFactorization, q: np.ndarray) -> np.ndarray:
@@ -168,10 +204,8 @@ def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:
 
     core = f.root_disc
     for level in range(1, f.tree.depth + 1):
-        nodes = f.tree.nodes_at_level(level)
-        u_blk = scipy.linalg.block_diag(*(f.u_bases[node.id] for node in nodes))
-        v_blk = scipy.linalg.block_diag(*(f.v_bases[node.id] for node in nodes))
-        d_blk = scipy.linalg.block_diag(*(f.discs[node.id] for node in nodes))
+        blocks = [f.node_blocks(level, j) for j in range(1 << level)]
+        u_blk, v_blk, d_blk = (scipy.linalg.block_diag(*parts) for parts in zip(*blocks))
         core = u_blk @ core @ v_blk.T + d_blk
     return core
 
@@ -191,14 +225,18 @@ class StorageReport:
 
 
 def storage(f: HbsFactorization) -> StorageReport:
-    """Exact float counts of every stored block, per level and in total."""
+    """Exact float counts of every stored block (leaf padding excluded),
+    per level and in total."""
     levels = [LevelStorage(level=0, basis_floats=0, disc_floats=f.root_disc.size)]
     for level in range(1, f.tree.depth + 1):
-        basis = disc = 0
-        for node in f.tree.nodes_at_level(level):
-            basis += f.u_bases[node.id].size + f.v_bases[node.id].size
-            disc += f.discs[node.id].size
-        levels.append(LevelStorage(level=level, basis_floats=basis, disc_floats=disc))
+        sizes = node_sizes(f.tree, f.rank, level)
+        levels.append(
+            LevelStorage(
+                level=level,
+                basis_floats=2 * f.rank * sum(sizes),
+                disc_floats=sum(size * size for size in sizes),
+            )
+        )
     total = sum(lv.basis_floats + lv.disc_floats for lv in levels)
     return StorageReport(total_floats=total, floats_per_dof=total / f.n, levels=levels)
 
@@ -211,7 +249,8 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     Bases are orthonormalized Gaussian blocks; discrepancy blocks are
     Gaussian with their basis-visible component projected out, which makes
     the emitted blocks coincide with the canonical telescoping factors of
-    the generator's own dense matrix.
+    the generator's own dense matrix.  Blocks are drawn node by node in
+    level order.
     """
     if k < 0:
         raise DimensionError(f"block rank must be nonnegative, got {k}")
@@ -222,17 +261,14 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_SYNTHETIC,))
     )
-    u_bases: dict[int, np.ndarray] = {}
-    v_bases: dict[int, np.ndarray] = {}
-    discs: dict[int, np.ndarray] = {}
-    for node in tree.nodes[1:]:
-        rows = node.size if node.is_leaf else 2 * k
-        u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
-        v = np.linalg.qr(rng.standard_normal((rows, k)))[0]
-        d = rng.standard_normal((rows, rows))
-        d -= u @ (u.T @ d @ v) @ v.T
-        u_bases[node.id] = u
-        v_bases[node.id] = v
-        discs[node.id] = d
-    root_disc = rng.standard_normal((2 * k, 2 * k))
-    return HbsFactorization(tree, k, u_bases, v_bases, discs, root_disc).validate()
+    f = HbsFactorization.zeros(tree, k)
+    for level in range(1, tree.depth + 1):
+        for j, rows in enumerate(node_sizes(tree, k, level)):
+            u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+            v = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+            d = rng.standard_normal((rows, rows))
+            d -= u @ (u.T @ d @ v) @ v.T
+            for block, value in zip(f.node_blocks(level, j), (u, v, d)):
+                block[...] = value
+    f.root_disc[...] = rng.standard_normal((2 * k, 2 * k))
+    return f.validate()

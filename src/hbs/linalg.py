@@ -8,7 +8,7 @@ inputs, so identical seeds reproduce runs bit-for-bit on one platform.
 
 import numpy as np
 
-from .errors import DimensionError, IllConditionedProbeError
+from .errors import DimensionError, IllConditionedProbeError, NonFiniteError
 from .flops import add_madds, matmul_madds, qr_madds, svd_madds
 
 # Named substreams of a single user seed, so one seed reproduces a full run.
@@ -45,7 +45,11 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
     if k == cols:
         # Full-width request must reproduce the input's column space exactly.
         scale = np.linalg.norm(b)
-        assert scale == 0.0 or np.linalg.norm(b - q @ (q.T @ b)) <= 1e-8 * scale
+        if not (scale == 0.0 or np.linalg.norm(b - q @ (q.T @ b)) <= 1e-8 * scale):
+            raise NonFiniteError(
+                f"QR basis of a {rows} x {cols} matrix does not reproduce it; "
+                "the matrix holds non-finite or overflowing entries"
+            )
     return q
 
 

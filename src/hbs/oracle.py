@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 
 class MatVecOracle:
@@ -32,7 +32,7 @@ class MatVecOracle:
         self._count_at = 0
         self._seconds = 0.0
 
-    def _run(self, fn, x):
+    def _run(self, fn, x, direction):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise DimensionError(f"oracle expects {self.n} x c input, got shape {x.shape}")
@@ -41,11 +41,13 @@ class MatVecOracle:
         elapsed = time.perf_counter() - start
         if y.shape != x.shape:
             raise DimensionError(f"oracle product returned shape {y.shape}, expected {x.shape}")
+        if not np.isfinite(y).all():
+            raise NonFiniteError(f"oracle {direction} product returned NaN or infinite entries")
         return y, x.shape[1], elapsed
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         """Product of the operator with the columns of x."""
-        y, cols, elapsed = self._run(self._apply_fn, x)
+        y, cols, elapsed = self._run(self._apply_fn, x, "forward")
         with self._lock:
             self._count_a += cols
             self._seconds += elapsed
@@ -53,7 +55,7 @@ class MatVecOracle:
 
     def apply_transpose_batch(self, x: np.ndarray) -> np.ndarray:
         """Product of the transposed operator with the columns of x."""
-        y, cols, elapsed = self._run(self._apply_t_fn, x)
+        y, cols, elapsed = self._run(self._apply_t_fn, x, "transpose")
         with self._lock:
             self._count_at += cols
             self._seconds += elapsed

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .factorization import HbsFactorization
+from .factorization import HbsFactorization, node_sizes
 from .tree import build_tree
 
 MAGIC = b"HBSF"
@@ -24,19 +24,19 @@ _HEADER = struct.Struct("<4sIQIII")  # magic, version, n, rank, depth, leaf_thre
 def save_factorization(f: HbsFactorization, path) -> None:
     """Write a factorization to `path` (see module docstring for layout)."""
     tree, r = f.tree, f.rank
-    non_root = tree.nodes[1:]
+    levels = range(1, tree.depth + 1)
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(MAGIC, FORMAT_VERSION, tree.n, r, tree.depth, tree.leaf_threshold)
         )
-        rows = np.array(
-            [f.u_bases[node.id].shape[0] for node in non_root], dtype="<u4"
-        )
-        fh.write(rows.tobytes())
-        for node in non_root:
-            for block in (f.u_bases[node.id], f.v_bases[node.id], f.discs[node.id]):
-                fh.write(np.asarray(block, dtype="<f8").tobytes(order="F"))
-        fh.write(np.asarray(f.root_disc, dtype="<f8").tobytes(order="F"))
+        for level in levels:
+            fh.write(np.array(node_sizes(tree, r, level), dtype="<u4").tobytes())
+        # The C-order bytes of a block's transpose are its column-major bytes.
+        for level in levels:
+            for j in range(1 << level):
+                for block in f.node_blocks(level, j):
+                    fh.write(np.ascontiguousarray(block.T, dtype="<f8"))
+        fh.write(np.ascontiguousarray(f.root_disc.T, dtype="<f8"))
 
 
 def _take(buffer, offset, nbytes, what):
@@ -49,7 +49,7 @@ def load_factorization(path) -> HbsFactorization:
     """Read a factorization written by `save_factorization`; raises
     FormatError on bad magic, unknown version, or truncation."""
     with open(path, "rb") as fh:
-        buffer = fh.read()
+        buffer = memoryview(fh.read())  # slices without copying
     raw, offset = _take(buffer, 0, _HEADER.size, "header")
     magic, version, n, rank, depth, leaf_threshold = _HEADER.unpack(raw)
     if magic != MAGIC:
@@ -57,35 +57,39 @@ def load_factorization(path) -> HbsFactorization:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
 
+    if 8 * n > len(buffer):  # leaf discrepancies alone hold at least n floats
+        raise FormatError(f"truncated file: {len(buffer)} bytes cannot hold an n={n} operator")
     tree = build_tree(n, leaf_threshold)
     if tree.depth != depth:
         raise FormatError(
             f"header depth {depth} does not match the depth-{tree.depth} tree for "
             f"n={n}, leaf threshold {leaf_threshold}"
         )
-    non_root = tree.nodes[1:]
-    raw, offset = _take(buffer, offset, 4 * len(non_root), "node dimensions")
+    levels = range(1, depth + 1)
+    sizes = [q for level in levels for q in node_sizes(tree, rank, level)]
+    expected = np.array(sizes)
+    raw, offset = _take(buffer, offset, 4 * expected.size, "node dimensions")
     rows = np.frombuffer(raw, dtype="<u4")
-    for node, r_rows in zip(non_root, rows):
-        expected = node.size if node.is_leaf else 2 * rank
-        if r_rows != expected:
-            raise FormatError(
-                f"node {node.id}: header row count {r_rows} does not match {expected}"
-            )
+    mismatch = np.flatnonzero(rows != expected)
+    if mismatch.size:
+        node = mismatch[0]
+        raise FormatError(
+            f"node {node + 1}: header row count {rows[node]} does not match {expected[node]}"
+        )
 
-    def read_block(shape, what):
-        nonlocal offset
-        nbytes = 8 * shape[0] * shape[1]
-        raw, offset = _take(buffer, offset, nbytes, what)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
+    # Check the size of the block section before allocating anything.
+    nbytes = 8 * (sum(2 * rank * q + q * q for q in sizes) + 4 * rank * rank)
+    if len(buffer) - offset < nbytes:
+        raise FormatError(
+            f"truncated file: blocks need {nbytes} bytes, {len(buffer) - offset} remain"
+        )
+    if len(buffer) - offset > nbytes:
+        raise FormatError(f"{len(buffer) - offset - nbytes} trailing bytes after root core")
 
-    u_bases, v_bases, discs = {}, {}, {}
-    for node in non_root:
-        q = node.size if node.is_leaf else 2 * rank
-        u_bases[node.id] = read_block((q, rank), f"node {node.id} column basis")
-        v_bases[node.id] = read_block((q, rank), f"node {node.id} row basis")
-        discs[node.id] = read_block((q, q), f"node {node.id} discrepancy")
-    root_disc = read_block((2 * rank, 2 * rank), "root core")
-    if offset != len(buffer):
-        raise FormatError(f"{len(buffer) - offset} trailing bytes after root core")
-    return HbsFactorization(tree, rank, u_bases, v_bases, discs, root_disc)
+    f = HbsFactorization.zeros(tree, rank)
+    blocks = [b for level in levels for j in range(1 << level) for b in f.node_blocks(level, j)]
+    for block in (*blocks, f.root_disc):
+        data = np.frombuffer(buffer, dtype="<f8", count=block.size, offset=offset)
+        block[...] = data.reshape(block.shape, order="F")
+        offset += 8 * block.size
+    return f

@@ -4,29 +4,16 @@ The tree fixes the block structure of a compressed operator: the root owns
 [0, n), every parent splits its range into two nearly equal halves (left
 child takes the ceiling half), and all leaves sit at one global depth, the
 smallest at which every leaf fits under the size threshold.
+
+Nodes are implicit: node j of level l (0 <= j < 2^l, level order) owns
+[offsets[j * 2^(depth - l)], offsets[(j + 1) * 2^(depth - l)]), where
+`offsets` are the leaf boundaries.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigurationError, DimensionError
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    level: int
-    begin: int
-    end: int
-    parent: int | None
-    children: tuple[int, int] | None
-
-    @property
-    def size(self) -> int:
-        return self.end - self.begin
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 @dataclass(frozen=True)
@@ -34,30 +21,26 @@ class ClusterTree:
     n: int
     depth: int
     leaf_threshold: int
-    nodes: list[Node] = field(repr=False)
+    offsets: tuple[int, ...] = field(repr=False)  # 2^depth + 1 leaf boundaries
 
-    @property
-    def root(self) -> Node:
-        return self.nodes[0]
-
-    def nodes_at_level(self, level: int) -> list[Node]:
-        """Nodes of one level in ascending range order; their ranges
-        partition [0, n)."""
+    def bounds(self, level: int) -> tuple[int, ...]:
+        """The 2^level + 1 boundaries of the nodes of one level; node j owns
+        [bounds[j], bounds[j + 1])."""
         if level < 0 or level > self.depth:
             raise DimensionError(f"level {level} outside [0, {self.depth}]")
-        first = 2**level - 1
-        return self.nodes[first : 2 * first + 1]
+        return self.offsets[:: 1 << (self.depth - level)]
 
-    def leaves(self) -> list[Node]:
-        return self.nodes_at_level(self.depth)
+    @cached_property
+    def leaf_sizes(self) -> tuple[int, ...]:
+        return tuple(end - begin for begin, end in zip(self.offsets, self.offsets[1:]))
 
-    @property
+    @cached_property
     def min_leaf_size(self) -> int:
-        return min(node.size for node in self.leaves())
+        return min(self.leaf_sizes)
 
-    @property
+    @cached_property
     def max_leaf_size(self) -> int:
-        return max(node.size for node in self.leaves())
+        return max(self.leaf_sizes)
 
 
 def build_tree(n: int, leaf_threshold: int) -> ClusterTree:
@@ -81,26 +64,8 @@ def build_tree(n: int, leaf_threshold: int) -> ClusterTree:
     while (n + (1 << depth) - 1) >> depth > leaf_threshold:  # ceil(n / 2**depth)
         depth += 1
 
-    nodes: list[Node] = []
-    ranges = [(0, n)]
-    next_ranges: list[tuple[int, int]] = []
-    for level in range(depth + 1):
-        first = 2**level - 1
-        for j, (begin, end) in enumerate(ranges):
-            node_id = first + j
-            parent = (node_id - 1) // 2 if node_id > 0 else None
-            if level < depth:
-                children = (2 * node_id + 1, 2 * node_id + 2)
-                mid = begin + (end - begin + 1) // 2
-                next_ranges.append((begin, mid))
-                next_ranges.append((mid, end))
-            else:
-                children = None
-            nodes.append(Node(node_id, level, begin, end, parent, children))
-        ranges, next_ranges = next_ranges, []
-
-    return ClusterTree(n=n, depth=depth, leaf_threshold=leaf_threshold, nodes=nodes)
-
-
-def nodes_at_level(tree: ClusterTree, level: int) -> list[Node]:
-    return tree.nodes_at_level(level)
+    offsets = [0, n]
+    for _ in range(depth):
+        mids = [begin + (end - begin + 1) // 2 for begin, end in zip(offsets, offsets[1:])]
+        offsets = [x for pair in zip(offsets, mids) for x in pair] + [n]
+    return ClusterTree(n=n, depth=depth, leaf_threshold=leaf_threshold, offsets=tuple(offsets))

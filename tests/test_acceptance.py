@@ -184,10 +184,10 @@ def test_serialization_round_trip():
             save_factorization(f, path)
             g = load_factorization(path)
             assert np.array_equal(f.root_disc, g.root_disc)
-            for nid in f.u_bases:
-                assert np.array_equal(f.u_bases[nid], g.u_bases[nid])
-                assert np.array_equal(f.v_bases[nid], g.v_bases[nid])
-                assert np.array_equal(f.discs[nid], g.discs[nid])
+            for level in range(1, tree.depth + 1):
+                assert np.array_equal(f.U[level], g.U[level])
+                assert np.array_equal(f.V[level], g.V[level])
+                assert np.array_equal(f.D[level], g.D[level])
     report("serialization", "100 factorizations round-tripped bit-exactly")
 
 

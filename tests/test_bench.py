@@ -10,7 +10,7 @@ from hbs.errors import ConfigurationError
 class TestRunOnce:
     def test_synthetic_record(self):
         config = CompressionConfig(rank=15, leaf_threshold=30, probes=45, seed=1)
-        record = run_once("synthetic", 960, config)
+        record, _ = run_once("synthetic", 960, config)
         assert record.problem == "synthetic"
         assert (record.n, record.r, record.m, record.s) == (960, 15, 30, 45)
         assert record.rel_err <= 1e-9
@@ -19,26 +19,26 @@ class TestRunOnce:
 
     def test_default_probe_resolution(self):
         config = CompressionConfig(rank=10, leaf_threshold=20, seed=2)
-        record = run_once("synthetic", 400, config)
+        record, _ = run_once("synthetic", 400, config)
         assert record.s == 30  # max(r + max leaf, 3r) = max(10 + 20, 30)
 
     def test_deterministic(self):
         config = CompressionConfig(rank=8, leaf_threshold=16, seed=3)
-        r1 = run_once("synthetic", 256, config)
-        r2 = run_once("synthetic", 256, config)
+        r1, _ = run_once("synthetic", 256, config)
+        r2, _ = run_once("synthetic", 256, config)
         assert r1.rel_err == r2.rel_err
         assert r1.floats_per_dof == r2.floats_per_dof
 
     def test_bie_uses_requested_probes(self):
         config = CompressionConfig(rank=10, leaf_threshold=20, probes=30, seed=4)
-        record = run_once("bie-dl", 240, config)
+        record, _ = run_once("bie-dl", 240, config)
         assert record.s == 30
         assert record.matvecs_a == record.matvecs_at == 30
 
     def test_bie_benchmark_parameterization(self):
         # the reference operating point: s = 3r with m = 2r
         config = CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=0)
-        record = run_once("bie-dl", 2000, config)
+        record, _ = run_once("bie-dl", 2000, config)
         assert record.s == 90 == 3 * record.r
         assert record.m == 2 * record.r
         assert record.matvecs_a == record.matvecs_at == 90
@@ -96,6 +96,6 @@ class TestSweep:
 class TestSchurRecord:
     def test_schur_small(self):
         config = CompressionConfig(rank=16, leaf_threshold=32, seed=10)
-        record = run_once("schur", 80, config)
+        record, _ = run_once("schur", 80, config)
         assert record.rel_err <= 1e-10
         assert record.matvecs_a == record.matvecs_at == record.s

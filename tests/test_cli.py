@@ -1,6 +1,10 @@
 """Tests for the command-line driver and its exit-code contract."""
 
 import json
+import subprocess
+import sys
+
+import pytest
 
 from hbs import cli
 from hbs.errors import IllConditionedProbeError
@@ -49,7 +53,7 @@ class TestCompressCommand:
         def explode(*args, **kwargs):
             raise IllConditionedProbeError("synthetic failure", node_id=3, level=2)
 
-        monkeypatch.setattr(cli, "run_with_factorization", explode)
+        monkeypatch.setattr(cli, "run_once", explode)
         code = cli.main(
             ["compress", "--problem", "synthetic", "--n", "128", "--rank", "6", "--leaf", "12"]
         )
@@ -114,3 +118,31 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestNonFiniteData:
+    # A NaN in an oracle product must end in exit code 2 with a message,
+    # also under -O, where assert statements are stripped.
+    SCRIPT = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hbs import bench, cli\n"
+        "from hbs.oracle import MatVecOracle\n"
+        "def nan_oracle(problem, n, config):\n"
+        "    return MatVecOracle(n, lambda x: x, lambda x: np.where(x > 0, np.nan, x))\n"
+        "bench.build_oracle = nan_oracle\n"
+        "sys.exit(cli.main(['compress', '--problem', 'synthetic', '--n', '128',\n"
+        "                   '--rank', '6', '--leaf', '12']))\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    def test_nan_oracle_exit_code(self, flags, child_env):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "non-finite data" in proc.stderr and "transpose" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -5,9 +5,7 @@ import pytest
 import scipy.linalg
 
 from hbs.compress import (
-    CompressedNode,
     CompressionConfig,
-    NodeSamples,
     SampleSet,
     compress,
     compress_from_samples,
@@ -15,7 +13,6 @@ from hbs.compress import (
     compute_discrepancy,
     compute_root,
     draw_samples,
-    leaf_node_samples,
     lift_to_parent,
 )
 from hbs.errors import ConfigurationError, IllConditionedProbeError
@@ -34,15 +31,21 @@ def sample_dense(a, s, seed):
     return SampleSet(omega=omega, psi=psi, y=a @ omega, z=a.T @ psi)
 
 
+def leaf_ranges(tree):
+    """(begin, end) of every leaf, left to right."""
+    return list(zip(tree.offsets, tree.offsets[1:]))
+
+
 def compress_leaves(a, tree, r, s, seed):
-    """Run the leaf stage densely-sampled; returns per-leaf CompressedNode."""
+    """Run the leaf stage densely-sampled; returns per-leaf (u, v, disc,
+    samples), left to right."""
     samples = sample_dense(a, s, seed)
-    state = {}
-    for node in tree.leaves():
-        ns = leaf_node_samples(samples, node)
+    state = []
+    for begin, end in leaf_ranges(tree):
+        ns = samples[begin:end]
         u, v, _, _ = compress_node_bases(ns, r)
         d = compute_discrepancy(u, v, ns)
-        state[node.id] = CompressedNode(u=u, v=v, disc=d, samples=ns)
+        state.append((u, v, d, ns))
     return samples, state
 
 
@@ -70,44 +73,40 @@ class TestLeafNodeSamples:
         a = np.diag(np.arange(1.0, 5.0))
         samples = sample_dense(a, 3, seed=2)
         tree = build_tree(4, 2)
-        ns = leaf_node_samples(samples, tree.leaves()[0])
-        np.testing.assert_array_equal(ns.omega_t, samples.omega[0:2])
-        np.testing.assert_array_equal(ns.y_t, samples.y[0:2])
+        begin, end = leaf_ranges(tree)[0]
+        ns = samples[begin:end]
+        np.testing.assert_array_equal(ns.omega, samples.omega[0:2])
+        np.testing.assert_array_equal(ns.y, samples.y[0:2])
 
     def test_leaves_cover_all_rows(self):
         a = np.eye(10)
         samples = sample_dense(a, 3, seed=3)
         tree = build_tree(10, 3)
         seen = np.zeros(10, dtype=int)
-        for node in tree.leaves():
-            ns = leaf_node_samples(samples, node)
-            assert ns.rows == node.size
-            seen[node.begin : node.end] += 1
+        for begin, end in leaf_ranges(tree):
+            ns = samples[begin:end]
+            assert ns.rows == end - begin
+            seen[begin:end] += 1
         assert np.all(seen == 1)
 
     def test_full_range_slice(self):
         a = np.eye(6)
         samples = sample_dense(a, 3, seed=4)
         tree = build_tree(6, 3)
-        root = tree.root  # hypothetical whole-matrix slice
-        ns = NodeSamples(
-            omega_t=samples.omega[root.begin : root.end],
-            psi_t=samples.psi[root.begin : root.end],
-            y_t=samples.y[root.begin : root.end],
-            z_t=samples.z[root.begin : root.end],
-        )
-        np.testing.assert_array_equal(ns.omega_t, samples.omega)
+        begin, end = tree.bounds(0)  # hypothetical whole-matrix slice
+        ns = samples[begin:end]
+        np.testing.assert_array_equal(ns.omega, samples.omega)
 
 
 class TestCompressNodeBases:
     def test_structured_nullspace_zeroes_block_rows(self):
         m, s, r = 4, 12, 3
         omega_t = np.hstack((np.eye(m), np.zeros((m, s - m))))
-        ns = NodeSamples(
-            omega_t=omega_t,
-            psi_t=gaussian_matrix(m, s, 5, 0),
-            y_t=gaussian_matrix(m, s, 5, 1),
-            z_t=gaussian_matrix(m, s, 5, 2),
+        ns = SampleSet(
+            omega=omega_t,
+            psi=gaussian_matrix(m, s, 5, 0),
+            y=gaussian_matrix(m, s, 5, 1),
+            z=gaussian_matrix(m, s, 5, 2),
         )
         _, _, p, _ = compress_node_bases(ns, r)
         # nullspace vectors cannot touch the identity block
@@ -116,16 +115,16 @@ class TestCompressNodeBases:
     def test_rank_one_off_diagonal_recovered(self):
         n, m, r, s = 32, 8, 2, 16
         tree = build_tree(n, m)
-        leaf = tree.leaves()[0]
+        begin, end = leaf_ranges(tree)[0]
         rng = np.random.default_rng(6)
         a = np.zeros((n, n))
-        a[leaf.begin : leaf.end, leaf.begin : leaf.end] = rng.standard_normal((m, m))
+        a[begin:end, begin:end] = rng.standard_normal((m, m))
         u_true = rng.standard_normal(m)
         v_true = rng.standard_normal(n - m)
-        a[leaf.begin : leaf.end, leaf.end :] = np.outer(u_true, v_true)
+        a[begin:end, end:] = np.outer(u_true, v_true)
         samples = sample_dense(a, s, seed=7)
-        u, v, _, _ = compress_node_bases(leaf_node_samples(samples, leaf), r)
-        off = a[leaf.begin : leaf.end, leaf.end :]
+        u, v, _, _ = compress_node_bases(samples[begin:end], r)
+        off = a[begin:end, end:]
         assert np.linalg.norm(off - u @ (u.T @ off)) <= 1e-11 * np.linalg.norm(off)
         assert np.linalg.norm(u.T @ u - np.eye(r)) <= 1e-12
         assert np.linalg.norm(v.T @ v - np.eye(r)) <= 1e-12
@@ -133,23 +132,23 @@ class TestCompressNodeBases:
     def test_block_diagonal_gives_vacuous_sample(self):
         n, m, r, s = 24, 6, 2, 12
         tree = build_tree(n, m)
-        leaf = tree.leaves()[0]
+        begin, end = leaf_ranges(tree)[0]
         a = scipy.linalg.block_diag(
             *(np.random.default_rng(i).standard_normal((6, 6)) for i in range(4))
         )
         samples = sample_dense(a, s, seed=8)
-        ns = leaf_node_samples(samples, leaf)
+        ns = samples[begin:end]
         u, _, p, _ = compress_node_bases(ns, r)
         # the projected sample is exactly zero, the basis merely orthonormal
-        np.testing.assert_allclose(ns.y_t @ p, 0.0, atol=1e-12)
+        np.testing.assert_allclose(ns.y @ p, 0.0, atol=1e-12)
         assert np.linalg.norm(u.T @ u - np.eye(r)) <= 1e-12
 
     def test_nullity_shortfall_is_config_error(self):
-        ns = NodeSamples(
-            omega_t=gaussian_matrix(6, 8, 9, 0),
-            psi_t=gaussian_matrix(6, 8, 9, 1),
-            y_t=gaussian_matrix(6, 8, 9, 2),
-            z_t=gaussian_matrix(6, 8, 9, 3),
+        ns = SampleSet(
+            omega=gaussian_matrix(6, 8, 9, 0),
+            psi=gaussian_matrix(6, 8, 9, 1),
+            y=gaussian_matrix(6, 8, 9, 2),
+            z=gaussian_matrix(6, 8, 9, 3),
         )
         with pytest.raises(ConfigurationError):
             compress_node_bases(ns, 3)
@@ -161,11 +160,11 @@ class TestComputeDiscrepancy:
         tree = build_tree(80, m)
         a = to_dense(random_hbs(tree, k, seed=10))
         samples = sample_dense(a, s, seed=11)
-        for leaf in tree.leaves()[:3]:
-            ns = leaf_node_samples(samples, leaf)
+        for begin, end in leaf_ranges(tree)[:3]:
+            ns = samples[begin:end]
             u, v, _, _ = compress_node_bases(ns, r)
             d = compute_discrepancy(u, v, ns)
-            att = a[leaf.begin : leaf.end, leaf.begin : leaf.end]
+            att = a[begin:end, begin:end]
             expected = att - u @ (u.T @ att @ v) @ v.T
             assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(att)
 
@@ -175,7 +174,7 @@ class TestComputeDiscrepancy:
         att = np.random.default_rng(12).standard_normal((m, m))
         omega_t = gaussian_matrix(m, s, 13, 0)
         psi_t = gaussian_matrix(m, s, 13, 1)
-        ns = NodeSamples(omega_t=omega_t, psi_t=psi_t, y_t=att @ omega_t, z_t=att.T @ psi_t)
+        ns = SampleSet(omega=omega_t, psi=psi_t, y=att @ omega_t, z=att.T @ psi_t)
         d = compute_discrepancy(np.zeros((m, 0)), np.zeros((m, 0)), ns)
         np.testing.assert_allclose(d, att, atol=1e-12)
 
@@ -186,7 +185,7 @@ class TestComputeDiscrepancy:
         v = np.linalg.qr(rng.standard_normal((m, r)))[0]
         omega_t = gaussian_matrix(m, s, 15, 0)
         psi_t = gaussian_matrix(m, s, 15, 1)
-        ns = NodeSamples(omega_t=omega_t, psi_t=psi_t, y_t=omega_t, z_t=psi_t)
+        ns = SampleSet(omega=omega_t, psi=psi_t, y=omega_t, z=psi_t)
         d = compute_discrepancy(u, v, ns)
         expected = np.eye(m) - u @ u.T @ v @ v.T
         np.testing.assert_allclose(d, expected, atol=1e-11)
@@ -199,17 +198,17 @@ class TestLiftToParent:
         rng = np.random.default_rng(16)
         a = scipy.linalg.block_diag(*(rng.standard_normal((4, 4)) for _ in range(4)))
         samples = sample_dense(a, s, seed=17)
-        state = {}
-        for leaf in tree.leaves():
-            ns = leaf_node_samples(samples, leaf)
+        state = []
+        for begin, end in leaf_ranges(tree):
+            ns = samples[begin:end]
             u = np.linalg.qr(rng.standard_normal((m, r)))[0]
             v = np.linalg.qr(rng.standard_normal((m, r)))[0]
-            att = a[leaf.begin : leaf.end, leaf.begin : leaf.end]
-            state[leaf.id] = CompressedNode(u=u, v=v, disc=att, samples=ns)
-        parent = tree.nodes_at_level(tree.depth - 1)[0]
-        lifted = lift_to_parent(state[parent.children[0]], state[parent.children[1]])
-        np.testing.assert_allclose(lifted.y_t, 0.0, atol=1e-12)
-        np.testing.assert_allclose(lifted.z_t, 0.0, atol=1e-12)
+            att = a[begin:end, begin:end]
+            state.append((u, v, att, ns))
+        # the first parent of the level above the leaves
+        lifted = lift_to_parent(state[0], state[1])
+        np.testing.assert_allclose(lifted.y, 0.0, atol=1e-12)
+        np.testing.assert_allclose(lifted.z, 0.0, atol=1e-12)
 
     def test_matches_dense_telescoping(self):
         # depth-2 exact structure: lifted samples equal the blocked dense products
@@ -218,16 +217,16 @@ class TestLiftToParent:
         tree = build_tree(n, m)
         a = to_dense(random_hbs(tree, k, seed=18))
         samples, state = compress_leaves(a, tree, r, s, seed=19)
-        u_blk = scipy.linalg.block_diag(*(state[nd.id].u for nd in tree.leaves()))
-        v_blk = scipy.linalg.block_diag(*(state[nd.id].v for nd in tree.leaves()))
-        d_blk = scipy.linalg.block_diag(*(state[nd.id].disc for nd in tree.leaves()))
+        u_blk = scipy.linalg.block_diag(*(u for u, _, _, _ in state))
+        v_blk = scipy.linalg.block_diag(*(v for _, v, _, _ in state))
+        d_blk = scipy.linalg.block_diag(*(d for _, _, d, _ in state))
         y_coarse = u_blk.T @ (samples.y - d_blk @ samples.omega)
         omega_coarse = v_blk.T @ samples.omega
-        parent = tree.nodes_at_level(1)[0]
-        lifted = lift_to_parent(state[parent.children[0]], state[parent.children[1]])
+        # the first node of level 1, parent of leaves 0 and 1 on this depth-2 tree
+        lifted = lift_to_parent(state[0], state[1])
         scale = np.linalg.norm(samples.y)
-        assert np.linalg.norm(lifted.y_t - y_coarse[: 2 * r]) <= 1e-11 * scale
-        assert np.linalg.norm(lifted.omega_t - omega_coarse[: 2 * r]) <= 1e-11 * scale
+        assert np.linalg.norm(lifted.y - y_coarse[: 2 * r]) <= 1e-11 * scale
+        assert np.linalg.norm(lifted.omega - omega_coarse[: 2 * r]) <= 1e-11 * scale
 
     def test_shape_is_always_2r_by_s(self):
         # uneven leaves still lift to 2r rows
@@ -235,10 +234,9 @@ class TestLiftToParent:
         tree = build_tree(n, m)
         a = np.random.default_rng(20).standard_normal((n, n))
         _, state = compress_leaves(a, tree, r, s, seed=21)
-        parent = tree.nodes_at_level(tree.depth - 1)[0]
-        lifted = lift_to_parent(state[parent.children[0]], state[parent.children[1]])
-        assert lifted.omega_t.shape == (2 * r, s)
-        assert lifted.y_t.shape == (2 * r, s)
+        lifted = lift_to_parent(state[0], state[1])
+        assert lifted.omega.shape == (2 * r, s)
+        assert lifted.y.shape == (2 * r, s)
 
 
 class TestComputeRoot:
@@ -248,11 +246,11 @@ class TestComputeRoot:
         tree = build_tree(n, m)
         a = to_dense(random_hbs(tree, k, seed=22))
         _, state = compress_leaves(a, tree, r, s, seed=23)
-        left, right = (state[nd.id] for nd in tree.nodes_at_level(1))
+        left, right = state
         root_disc = compute_root(lift_to_parent(left, right))
-        u_blk = scipy.linalg.block_diag(left.u, right.u)
-        v_blk = scipy.linalg.block_diag(left.v, right.v)
-        d_blk = scipy.linalg.block_diag(left.disc, right.disc)
+        u_blk = scipy.linalg.block_diag(left[0], right[0])
+        v_blk = scipy.linalg.block_diag(left[1], right[1])
+        d_blk = scipy.linalg.block_diag(left[2], right[2])
         expected = u_blk.T @ (a - d_blk) @ v_blk
         assert np.linalg.norm(root_disc - expected) <= 1e-10 * np.linalg.norm(a)
 
@@ -260,7 +258,7 @@ class TestComputeRoot:
         n, r, m, s = 16, 3, 8, 17
         tree = build_tree(n, m)
         _, state = compress_leaves(np.zeros((n, n)), tree, r, s, seed=24)
-        left, right = (state[nd.id] for nd in tree.nodes_at_level(1))
+        left, right = state
         root_disc = compute_root(lift_to_parent(left, right))
         np.testing.assert_allclose(root_disc, 0.0, atol=1e-12)
 
@@ -312,10 +310,10 @@ class TestCompress:
         f1 = compress(dense_oracle(a), config)
         f2 = compress(dense_oracle(a), config)
         assert np.array_equal(f1.root_disc, f2.root_disc)
-        for nid in f1.u_bases:
-            assert np.array_equal(f1.u_bases[nid], f2.u_bases[nid])
-            assert np.array_equal(f1.v_bases[nid], f2.v_bases[nid])
-            assert np.array_equal(f1.discs[nid], f2.discs[nid])
+        for level in range(1, f1.tree.depth + 1):
+            assert np.array_equal(f1.U[level], f2.U[level])
+            assert np.array_equal(f1.V[level], f2.V[level])
+            assert np.array_equal(f1.D[level], f2.D[level])
 
     def test_oversampling_monotonicity(self):
         # median true error over ten seeds must not degrade with more padding

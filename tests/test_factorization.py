@@ -20,15 +20,15 @@ from hbs.tree import build_tree
 
 def zeroed_discs(f):
     """Copy of f with every discrepancy block and the root core zeroed."""
-    discs = {nid: np.zeros_like(d) for nid, d in f.discs.items()}
-    return HbsFactorization(f.tree, f.rank, f.u_bases, f.v_bases, discs, np.zeros_like(f.root_disc))
+    discs = [None] + [np.zeros_like(d) for d in f.D[1:]]
+    return HbsFactorization(f.tree, f.rank, f.U, f.V, discs, np.zeros_like(f.root_disc))
 
 
 def symmetrized(f):
     """Copy of f with shared bases and symmetric blocks (a self-adjoint map)."""
-    discs = {nid: 0.5 * (d + d.T) for nid, d in f.discs.items()}
+    discs = [None] + [0.5 * (d + d.transpose(0, 2, 1)) for d in f.D[1:]]
     root = 0.5 * (f.root_disc + f.root_disc.T)
-    return HbsFactorization(f.tree, f.rank, f.u_bases, f.u_bases, discs, root)
+    return HbsFactorization(f.tree, f.rank, f.U, f.U, discs, root)
 
 
 class TestApply:
@@ -127,14 +127,14 @@ class TestToDense:
         # two-level expansion written out block by block
         tree = build_tree(4, 2)
         rng = np.random.default_rng(11)
-        u = {nid: np.linalg.qr(rng.standard_normal((2, 1)))[0] for nid in (1, 2)}
-        v = {nid: np.linalg.qr(rng.standard_normal((2, 1)))[0] for nid in (1, 2)}
-        d = {nid: rng.standard_normal((2, 2)) for nid in (1, 2)}
+        u = np.stack([np.linalg.qr(rng.standard_normal((2, 1)))[0] for _ in range(2)])
+        v = np.stack([np.linalg.qr(rng.standard_normal((2, 1)))[0] for _ in range(2)])
+        d = np.stack([rng.standard_normal((2, 2)) for _ in range(2)])
         root = rng.standard_normal((2, 2))
-        f = HbsFactorization(tree, 1, u, v, d, root)
-        u_blk = scipy.linalg.block_diag(u[1], u[2])
-        v_blk = scipy.linalg.block_diag(v[1], v[2])
-        d_blk = scipy.linalg.block_diag(d[1], d[2])
+        f = HbsFactorization(tree, 1, [None, u], [None, v], [None, d], root)
+        u_blk = scipy.linalg.block_diag(*u)
+        v_blk = scipy.linalg.block_diag(*v)
+        d_blk = scipy.linalg.block_diag(*d)
         expected = u_blk @ root @ v_blk.T + d_blk
         np.testing.assert_allclose(to_dense(f), expected, atol=1e-14)
 
@@ -162,8 +162,10 @@ class TestStorage:
         f = random_hbs(build_tree(300, 20), 5, seed=15)
         report = storage(f)
         assert report.total_floats == sum(lv.basis_floats + lv.disc_floats for lv in report.levels)
-        blocks = sum(f.u_bases[nid].size + f.v_bases[nid].size + f.discs[nid].size
-                     for nid in f.u_bases)
+        blocks = sum(block.size
+                     for level in range(1, f.tree.depth + 1)
+                     for j in range(2**level)
+                     for block in f.node_blocks(level, j))
         assert report.total_floats == blocks + f.root_disc.size
 
     def test_flat_per_dof_when_n_doubles(self):
@@ -180,19 +182,19 @@ class TestRandomHbs:
         tree = build_tree(40, 5)
         f = random_hbs(tree, 0, seed=17)
         a = to_dense(f)
-        for node in tree.leaves():
+        for begin, end in zip(tree.offsets, tree.offsets[1:]):
             mask = np.ones(40, dtype=bool)
-            mask[node.begin : node.end] = False
-            assert np.all(a[node.begin : node.end][:, mask] == 0.0)
+            mask[begin:end] = False
+            assert np.all(a[begin:end][:, mask] == 0.0)
 
     def test_off_diagonal_blocks_have_rank_k(self):
         k = 3
         tree = build_tree(120, 15)
         a = to_dense(random_hbs(tree, k, seed=18))
         for level in range(1, tree.depth + 1):
-            nodes = tree.nodes_at_level(level)
-            for tau, tau2 in ((nodes[0], nodes[1]), (nodes[0], nodes[-1])):
-                block = a[tau.begin : tau.end, tau2.begin : tau2.end]
+            b = tree.bounds(level)
+            for j2 in (1, len(b) - 2):
+                block = a[b[0] : b[1], b[j2] : b[j2 + 1]]
                 sv = np.linalg.svd(block, compute_uv=False)
                 assert sv[k] <= 1e-12 * sv[0]
 
@@ -210,27 +212,27 @@ class TestRandomHbs:
 class TestValidation:
     def test_rejects_non_orthonormal_basis(self):
         f = random_hbs(build_tree(32, 4), 2, seed=26)
-        f.u_bases[1] = 2.0 * f.u_bases[1]
+        f.U[1][0] = 2.0 * f.U[1][0]
         with pytest.raises(ValueError):
             f.validate()
 
     def test_rejects_non_finite_disc(self):
         f = random_hbs(build_tree(32, 4), 2, seed=27)
-        f.discs[3][0, 0] = np.nan
+        f.D[2][0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             f.validate()
 
     def test_rejects_wrong_block_shape(self):
         f = random_hbs(build_tree(32, 4), 2, seed=28)
-        bad_u = dict(f.u_bases)
-        bad_u[1] = np.zeros((5, 2))
+        bad_u = list(f.U)
+        bad_u[1] = np.zeros((2, 5, 2))
         with pytest.raises(DimensionError):
-            HbsFactorization(f.tree, f.rank, bad_u, f.v_bases, f.discs, f.root_disc)
+            HbsFactorization(f.tree, f.rank, bad_u, f.V, f.D, f.root_disc)
 
     def test_rejects_wrong_root_shape(self):
         f = random_hbs(build_tree(32, 4), 2, seed=29)
         with pytest.raises(DimensionError):
-            HbsFactorization(f.tree, f.rank, f.u_bases, f.v_bases, f.discs, np.zeros((3, 3)))
+            HbsFactorization(f.tree, f.rank, f.U, f.V, f.D, np.zeros((3, 3)))
 
 
 class TestInvariants:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hbs.errors import DimensionError, IllConditionedProbeError
+from hbs.errors import DimensionError, IllConditionedProbeError, NonFiniteError
 from hbs.linalg import col, gaussian_matrix, lstsq_right, nullspace, power_method_relnorm
 
 # Frozen regression values for the committed generator (seed 7, stream 0).
@@ -73,6 +73,12 @@ class TestCol:
     def test_rejects_oversized_rank(self):
         with pytest.raises(DimensionError):
             col(np.eye(3), 4)
+
+    def test_non_finite_input_raises_typed_error(self):
+        b = np.ones((4, 2))
+        b[1, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            col(b, 2)
 
 
 class TestNullspace:

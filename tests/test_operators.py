@@ -70,6 +70,16 @@ class TestDenseOracle:
             oracle.apply_batch(np.ones((4, 1)))
         assert oracle.matvec_count == (0, 0)  # failed calls do not count
 
+    def test_rejects_non_finite_product(self):
+        from hbs.errors import NonFiniteError
+        from hbs.oracle import MatVecOracle
+
+        oracle = MatVecOracle(4, lambda x: x, lambda x: np.full_like(x, np.inf))
+        oracle.apply_batch(np.ones((4, 1)))
+        with pytest.raises(NonFiniteError, match="transpose"):
+            oracle.apply_transpose_batch(np.ones((4, 1)))
+        assert oracle.matvec_count == (1, 0)
+
 
 class TestContours:
     def test_default_contour_closed(self):

@@ -15,10 +15,10 @@ def assert_identical(f1, f2):
     assert f1.n == f2.n and f1.rank == f2.rank
     assert f1.tree.depth == f2.tree.depth
     np.testing.assert_array_equal(f1.root_disc, f2.root_disc)
-    for nid in f1.u_bases:
-        np.testing.assert_array_equal(f1.u_bases[nid], f2.u_bases[nid])
-        np.testing.assert_array_equal(f1.v_bases[nid], f2.v_bases[nid])
-        np.testing.assert_array_equal(f1.discs[nid], f2.discs[nid])
+    for level in range(1, f1.tree.depth + 1):
+        np.testing.assert_array_equal(f1.U[level], f2.U[level])
+        np.testing.assert_array_equal(f1.V[level], f2.V[level])
+        np.testing.assert_array_equal(f1.D[level], f2.D[level])
 
 
 class TestRoundTrip:
@@ -46,7 +46,7 @@ class TestRoundTrip:
         g = load_factorization(path)
         np.testing.assert_array_equal(to_dense(g), dense_before)
 
-    def test_fresh_process_applies_identically(self, tmp_path):
+    def test_fresh_process_applies_identically(self, tmp_path, child_env):
         import subprocess
         import sys
 
@@ -62,14 +62,16 @@ class TestRoundTrip:
             f"f = load_factorization({str(path)!r})\n"
             f"np.save({str(tmp_path / 'u.npy')!r}, apply(f, np.load({str(tmp_path / 'q.npy')!r})))\n"
         )
-        subprocess.run([sys.executable, "-c", script], check=True)
+        subprocess.run([sys.executable, "-c", script], check=True, env=child_env)
         np.testing.assert_array_equal(np.load(tmp_path / "u.npy"), apply(f, q))
 
 
 def blocks_in_level_order(f):
     """(column basis, row basis, discrepancy) of every non-root node, in
     level order."""
-    return [(f.u_bases[nd.id], f.v_bases[nd.id], f.discs[nd.id]) for nd in f.tree.nodes[1:]]
+    return [
+        f.node_blocks(level, j) for level in range(1, f.tree.depth + 1) for j in range(2**level)
+    ]
 
 
 class TestFileLayout:
@@ -138,6 +140,21 @@ class TestFormatErrors:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(FormatError):
             load_factorization(path)
+
+    def test_oversized_header_fields(self, tmp_path):
+        # a corrupt n or rank must fail on the file size, before any
+        # tree or block allocation sized by the header
+        f = random_hbs(build_tree(32, 4), 2, seed=8)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        good = path.read_bytes()
+        for field, value in ((slice(8, 16), (1 << 60).to_bytes(8, "little")),
+                             (slice(16, 20), (1 << 31).to_bytes(4, "little"))):
+            data = bytearray(good)
+            data[field] = value
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError):
+                load_factorization(path)
 
     def test_trailing_garbage(self, tmp_path):
         f = random_hbs(build_tree(32, 4), 2, seed=7)

@@ -3,7 +3,7 @@
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError
-from hbs.tree import build_tree, nodes_at_level
+from hbs.tree import build_tree
 
 
 class TestBuildTree:
@@ -11,30 +11,24 @@ class TestBuildTree:
         # 400 indices under threshold 100: two levels, four equal leaves
         tree = build_tree(400, 100)
         assert tree.depth == 2
-        leaves = tree.leaves()
-        assert [(nd.begin, nd.end) for nd in leaves] == [
-            (0, 100),
-            (100, 200),
-            (200, 300),
-            (300, 400),
-        ]
+        assert tree.offsets == (0, 100, 200, 300, 400)
 
     def test_uneven_split(self):
         tree = build_tree(5, 2)
         assert tree.depth == 2
-        assert sorted(nd.size for nd in tree.leaves()) == [1, 1, 1, 2]
+        assert sorted(tree.leaf_sizes) == [1, 1, 1, 2]
 
     def test_depth_rule(self):
         # ceil(1000/32) = 32 <= 60 but ceil(1000/16) = 63 > 60
         tree = build_tree(1000, 60)
         assert tree.depth == 5
-        assert {nd.size for nd in tree.leaves()} == {31, 32}
+        assert set(tree.leaf_sizes) == {31, 32}
 
     def test_leaf_sizes_bounded_by_threshold(self):
         for n in (17, 100, 777, 4096):
             for m in (2, 5, 16, n - 1):
                 tree = build_tree(n, m)
-                assert all(nd.size <= m for nd in tree.leaves())
+                assert all(size <= m for size in tree.leaf_sizes)
                 # depth is minimal: one level up would overflow the threshold
                 assert (n + 2 ** (tree.depth - 1) - 1) // 2 ** (tree.depth - 1) > m or (
                     tree.depth == 1
@@ -43,20 +37,18 @@ class TestBuildTree:
     def test_structure_invariants(self):
         for n, m in ((64, 8), (1000, 60), (5, 2), (97, 13)):
             tree = build_tree(n, m)
-            assert len(tree.nodes) == 2 ** (tree.depth + 1) - 1
-            assert sum(nd.size for nd in tree.leaves()) == n
+            assert len(tree.offsets) == 2**tree.depth + 1
+            assert sum(tree.leaf_sizes) == n
             floor, ceil = n // 2**tree.depth, -(-n // 2**tree.depth)
-            assert {nd.size for nd in tree.leaves()} <= {floor, ceil}
-            for node in tree.nodes:
-                if node.is_leaf:
-                    assert node.level == tree.depth
-                else:
-                    a, b = (tree.nodes[c] for c in node.children)
-                    assert (a.begin, b.end) == (node.begin, node.end)
-                    assert a.end == b.begin
-                    assert abs(a.size - b.size) <= 1
-                    assert a.size >= b.size  # left child takes the ceiling half
-                    assert a.parent == b.parent == node.id
+            assert set(tree.leaf_sizes) <= {floor, ceil}
+            for level in range(tree.depth):
+                parents, children = tree.bounds(level), tree.bounds(level + 1)
+                for j in range(2**level):
+                    begin, mid, end = children[2 * j : 2 * j + 3]
+                    assert (begin, end) == (parents[j], parents[j + 1])
+                    a, b = mid - begin, end - mid
+                    assert abs(a - b) <= 1
+                    assert a >= b  # left child takes the ceiling half
 
     def test_deterministic(self):
         assert build_tree(123, 10) == build_tree(123, 10)
@@ -73,26 +65,25 @@ class TestBuildTree:
 class TestNodesAtLevel:
     def test_root_level(self):
         tree = build_tree(400, 100)
-        (root,) = nodes_at_level(tree, 0)
-        assert (root.begin, root.end) == (0, 400)
+        assert tree.bounds(0) == (0, 400)
 
     def test_leaf_level_partitions(self):
         tree = build_tree(400, 100)
-        leaves = nodes_at_level(tree, 2)
-        assert len(leaves) == 4
-        assert leaves[0].begin == 0 and leaves[-1].end == 400
+        leaves = tree.bounds(2)
+        assert len(leaves) - 1 == 4
+        assert leaves[0] == 0 and leaves[-1] == 400
 
     def test_every_level_partitions_range(self):
         tree = build_tree(97, 13)
         for level in range(tree.depth + 1):
-            nodes = nodes_at_level(tree, level)
-            assert nodes[0].begin == 0 and nodes[-1].end == 97
-            for left, right in zip(nodes, nodes[1:]):
-                assert left.end == right.begin
+            bounds = tree.bounds(level)
+            assert len(bounds) - 1 == 2**level
+            assert bounds[0] == 0 and bounds[-1] == 97
+            assert all(begin < end for begin, end in zip(bounds, bounds[1:]))
 
     def test_rejects_out_of_range(self):
         tree = build_tree(400, 100)
         with pytest.raises(DimensionError):
-            nodes_at_level(tree, 3)
+            tree.bounds(3)
         with pytest.raises(DimensionError):
-            nodes_at_level(tree, -1)
+            tree.bounds(-1)
