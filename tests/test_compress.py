@@ -361,7 +361,24 @@ class TestCompress:
         samples = SampleSet(omega=omega, psi=psi, y=a @ omega, z=a.T @ psi)
         with pytest.raises(IllConditionedProbeError) as excinfo:
             compress_from_samples(samples, tree, config)
-        assert excinfo.value.node_id is not None
+        assert excinfo.value.node_id == 2**tree.depth - 1  # level-order id of leaf 0
+        assert excinfo.value.level == tree.depth
+
+    def test_ill_conditioned_short_leaf_names_node(self):
+        # leaves are (3, 3, 3, 2, 3, 2, 3, 2): duplicate the rows of leaf 3,
+        # one of the shorter leaves
+        n, s = 21, 6
+        tree = build_tree(n, 4)
+        assert tree.leaf_sizes[3] == tree.min_leaf_size < tree.max_leaf_size
+        config = CompressionConfig(rank=1, leaf_threshold=4, probes=s, seed=44)
+        omega = gaussian_matrix(n, s, 44, 0)
+        begin = tree.offsets[3]
+        omega[begin + 1] = omega[begin]
+        psi = gaussian_matrix(n, s, 44, 1)
+        samples = SampleSet(omega=omega, psi=psi, y=omega.copy(), z=psi.copy())
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            compress_from_samples(samples, tree, config)
+        assert excinfo.value.node_id == 2**tree.depth - 1 + 3
         assert excinfo.value.level == tree.depth
 
     def test_depth_one_tree(self):
