@@ -1,20 +1,21 @@
 """Reconstruct a telescoping factorization from randomized probes.
 
 The operator is touched exactly twice: one batched product per direction
-against Gaussian test matrices of s columns each.  Every node's bases are
-then recovered by projecting the global probes onto the nullspace of the
-node's own test rows (so the samples see only off-diagonal contributions),
-discrepancy blocks come from least-squares solves against the test rows,
-and compressed nodes lift their samples into coarser-level test/sample
-quadruples until the root core is solved directly.
+against Gaussian test matrices of s columns each.  A level sweep over the
+block stacks that apply uses then recovers each level's bases by projecting
+its probes onto the nullspace of the nodes' own test rows (so the samples
+see only off-diagonal contributions), its discrepancy blocks from
+least-squares solves against the test rows, and lifts its samples into the
+parent level's test/sample stacks until the root core is solved directly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, IllConditionedProbeError
-from .factorization import HbsFactorization
+from .factorization import HbsFactorization, leaf_stack, node_sizes
 from .flops import add_madds, matmul_madds
 from .linalg import (
     DEFAULT_ILL_CONDITIONING_TOL,
@@ -41,11 +42,6 @@ class CompressionConfig:
     seed: int = 0
     ill_conditioning_tol: float = DEFAULT_ILL_CONDITIONING_TOL
 
-    def resolved_probes(self, tree: ClusterTree) -> int:
-        if self.probes is not None:
-            return self.probes
-        return max(self.rank + tree.max_leaf_size, 3 * self.rank)
-
     def validate_for(self, tree: ClusterTree) -> int:
         """Check feasibility against a concrete tree; returns the probe
         count to use."""
@@ -61,8 +57,8 @@ class CompressionConfig:
                 f"smallest leaf has {tree.min_leaf_size} rows < rank {self.rank}; "
                 "lower the rank or raise the leaf threshold"
             )
-        s = self.resolved_probes(tree)
         s_min = max(self.rank + tree.max_leaf_size, 3 * self.rank)
+        s = s_min if self.probes is None else self.probes
         if s < s_min:
             raise ConfigurationError(
                 f"probe count {s} below the required max(r + max leaf, 3r) = {s_min}"
@@ -73,9 +69,9 @@ class CompressionConfig:
 @dataclass(frozen=True)
 class SampleSet:
     """Probe quadruple: test matrices omega/psi and their images
-    y = A omega, z = A^T psi.  Globally these have n rows; one node's
-    quadruple is a row slice of them (leaf), or their lifted 2r-row
-    counterparts (parent)."""
+    y = A omega, z = A^T psi.  Globally these have n rows; in the sweep they
+    are (nodes, rows, s) stacks of one level's leaf slices or lifted 2r-row
+    counterparts."""
 
     omega: np.ndarray
     psi: np.ndarray
@@ -87,17 +83,25 @@ class SampleSet:
         if len(shapes) != 1:
             raise DimensionError(f"sample matrices must share one shape, got {shapes}")
 
-    def __getitem__(self, rows) -> "SampleSet":
-        """The quadruple restricted to some rows, e.g. one leaf's range."""
-        return SampleSet(omega=self.omega[rows], psi=self.psi[rows], y=self.y[rows], z=self.z[rows])
+    def map(self, fn) -> "SampleSet":
+        """The quadruple with `fn` applied to each of its four arrays."""
+        return SampleSet(omega=fn(self.omega), psi=fn(self.psi), y=fn(self.y), z=fn(self.z))
+
+    def __getitem__(self, index) -> "SampleSet":
+        """The quadruple restricted by one index, e.g. one leaf's rows."""
+        return self.map(lambda a: a[index])
+
+    @property
+    def nodes(self) -> int:
+        return math.prod(self.omega.shape[:-2])
 
     @property
     def rows(self) -> int:
-        return self.omega.shape[0]
+        return self.omega.shape[-2]
 
     @property
     def probes(self) -> int:
-        return self.omega.shape[1]
+        return self.omega.shape[-1]
 
 
 def draw_samples(oracle: MatVecOracle, s: int, seed: int) -> SampleSet:
@@ -113,7 +117,7 @@ def draw_samples(oracle: MatVecOracle, s: int, seed: int) -> SampleSet:
 
 
 def compress_node_bases(ns: SampleSet, r: int):
-    """Recover the node's bases from its samples.
+    """Recover the bases of a node (or a stack of same-size nodes).
 
     Projecting the probes onto null(omega) removes the diagonal block's
     contribution, so y @ P is a randomized sample of the node's
@@ -127,10 +131,10 @@ def compress_node_bases(ns: SampleSet, r: int):
             f"for a {ns.rows}-row node; increase the probe count s"
         )
     p = nullspace(ns.omega, r)
-    add_madds(matmul_madds(ns.rows, ns.probes, r))
+    add_madds(ns.nodes * matmul_madds(ns.rows, ns.probes, r))
     u = col(ns.y @ p, r)
     q = nullspace(ns.psi, r)
-    add_madds(matmul_madds(ns.rows, ns.probes, r))
+    add_madds(ns.nodes * matmul_madds(ns.rows, ns.probes, r))
     v = col(ns.z @ q, r)
     return u, v, p, q
 
@@ -141,7 +145,7 @@ def compute_discrepancy(
     ns: SampleSet,
     tol: float = DEFAULT_ILL_CONDITIONING_TOL,
 ) -> np.ndarray:
-    """Recover the discrepancy block from the node's samples.
+    """Recover the discrepancy block of a node (or a stack of same-size nodes).
 
     The part of the diagonal block outside range(u) is read off the
     forward samples, the part inside range(u) but outside range(v)^T off
@@ -151,35 +155,34 @@ def compute_discrepancy(
     rows = ns.rows
     y_solve = lstsq_right(ns.y, ns.omega, tol)
     z_solve = lstsq_right(ns.z, ns.psi, tol)
-    add_madds(6 * matmul_madds(u.shape[1], rows, rows))
-    left = y_solve - u @ (u.T @ y_solve)
-    right = u @ (u.T @ (z_solve - v @ (v.T @ z_solve)).T)
+    add_madds(ns.nodes * 6 * matmul_madds(u.shape[-1], rows, rows))
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    left = y_solve - u @ (ut @ y_solve)
+    right = u @ (ut @ (z_solve - v @ (vt @ z_solve)).swapaxes(-1, -2))
     return left + right
 
 
-def lift_to_parent(alpha, beta) -> SampleSet:
-    """Combine two compressed children, each given as (u, v, disc,
-    samples), into their parent's test/sample rows.
+def lift_to_parent(u, v, disc, samples: SampleSet, sizes) -> SampleSet:
+    """Lift one level's (nodes, rows, .) stacks of bases, discrepancy blocks
+    and samples, zero-padded beyond each node's real size in `sizes`, into
+    the parent level's (nodes / 2, 2r, s) test/sample stacks.
 
-    Test rows are the probes seen through the children's bases; sample rows
-    first subtract what the children's own discrepancy blocks already
-    explain, then project onto the bases.  The result is an exact probe
-    quadruple for the coarser-level operator.
+    Test rows are the probes seen through the nodes' bases; sample rows
+    first subtract what the nodes' own discrepancy blocks already explain,
+    then project onto the bases.  Each parent stacks its two children's
+    rows, an exact probe quadruple for the coarser-level operator.
     """
-
-    def lifted(child):
-        u, v, disc, ns = child
-        rows, s = ns.rows, ns.probes
-        r = u.shape[1]
-        add_madds(4 * matmul_madds(r, rows, s) + 2 * matmul_madds(rows, rows, s))
-        return (
-            v.T @ ns.omega,
-            u.T @ ns.psi,
-            u.T @ (ns.y - disc @ ns.omega),
-            v.T @ (ns.z - disc.T @ ns.psi),
-        )
-
-    return SampleSet(*(np.vstack(pair) for pair in zip(lifted(alpha), lifted(beta))))
+    nodes, _, s = samples.omega.shape
+    r, sizes = u.shape[-1], np.asarray(sizes)
+    add_madds(4 * r * s * int(sizes.sum()) + 2 * s * int((sizes * sizes).sum()))
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    lifted = SampleSet(
+        omega=vt @ samples.omega,
+        psi=ut @ samples.psi,
+        y=ut @ (samples.y - disc @ samples.omega),
+        z=vt @ (samples.z - disc.swapaxes(-1, -2) @ samples.psi),
+    )
+    return lifted.map(lambda a: a.reshape(nodes // 2, 2 * r, s))
 
 
 def compute_root(ns: SampleSet, tol: float = DEFAULT_ILL_CONDITIONING_TOL) -> np.ndarray:
@@ -192,35 +195,40 @@ def compress_from_samples(
     samples: SampleSet, tree: ClusterTree, config: CompressionConfig
 ) -> HbsFactorization:
     """Run the level sweep on an already-drawn sample quadruple (the
-    post-sampling arithmetic; touches no oracle)."""
+    post-sampling arithmetic; touches no oracle).  Each level is one stack
+    per node size, on real rows only: padded rows make omega rank deficient.
+    """
     if samples.rows != tree.n:
         raise DimensionError(f"samples are for n={samples.rows}, tree has n={tree.n}")
     r = config.rank
     tol = config.ill_conditioning_tol
     f = HbsFactorization.zeros(tree, r)
-    bounds = tree.offsets
-    level_samples = [samples[begin:end] for begin, end in zip(bounds, bounds[1:])]
+    stack = samples.map(lambda a: leaf_stack(tree, a))
     for level in range(tree.depth, 0, -1):
-        done = []  # (u, v, disc, samples) of this level's nodes, left to right
-        for j, ns in enumerate(level_samples):
+        sizes = np.array(node_sizes(tree, r, level))
+        classes = np.unique(sizes)
+        for size in classes:
+            # A slice keeps a view when the whole level has one size.
+            members = slice(None) if classes.size == 1 else np.flatnonzero(sizes == size)
+            ns = stack[members, :size]
             try:
                 u, v, _, _ = compress_node_bases(ns, r)
                 d = compute_discrepancy(u, v, ns, tol)
             except IllConditionedProbeError as exc:
-                raise _at_node(exc, level, j) from exc
-            for block, value in zip(f.node_blocks(level, j), (u, v, d)):
-                block[...] = value
-            done.append((u, v, d, ns))
-        level_samples = [lift_to_parent(done[k], done[k + 1]) for k in range(0, len(done), 2)]
+                raise _at_node(exc, level, np.arange(sizes.size)[members][exc.index]) from exc
+            f.U[level][members, :size] = u
+            f.V[level][members, :size] = v
+            f.D[level][members, :size, :size] = d
+        stack = lift_to_parent(f.U[level], f.V[level], f.D[level], stack, sizes)
     try:
-        f.root_disc[...] = compute_root(level_samples[0], tol)
+        f.root_disc[...] = compute_root(stack[0], tol)
     except IllConditionedProbeError as exc:
         raise _at_node(exc, 0, 0) from exc
     return f
 
 
 def _at_node(exc: IllConditionedProbeError, level: int, j: int) -> IllConditionedProbeError:
-    node_id = (1 << level) - 1 + j  # level-order id
+    node_id = (1 << level) - 1 + int(j)  # level-order id
     return IllConditionedProbeError(
         f"node {node_id} (level {level}): {exc}", node_id=node_id, level=level
     )

@@ -16,12 +16,14 @@ class ConfigurationError(ValueError):
 
 class IllConditionedProbeError(RuntimeError):
     """A probe matrix lost full row rank, so its pseudoinverse action is
-    unreliable.  The standard remedy is to increase the probe count."""
+    unreliable.  The standard remedy is to increase the probe count.
+    `index` is the failing matrix's position in a stacked solve."""
 
-    def __init__(self, message, node_id=None, level=None):
+    def __init__(self, message, node_id=None, level=None, index=None):
         super().__init__(message)
         self.node_id = node_id
         self.level = level
+        self.index = index
 
 
 class ResourceLimitError(RuntimeError):

@@ -130,6 +130,18 @@ def _real_rows(tree: ClusterTree) -> np.ndarray:
     return np.arange(tree.max_leaf_size) < np.array(tree.leaf_sizes)[:, None]
 
 
+def leaf_stack(tree: ClusterTree, q: np.ndarray) -> np.ndarray:
+    """The rows of an n x c matrix as a (2^depth, max leaf size, c) stack of
+    leaf slices: a reshape view when leaves are uniform, a zero-padded copy
+    otherwise."""
+    width, c = tree.max_leaf_size, q.shape[1]
+    if tree.min_leaf_size == width:
+        return q.reshape(1 << tree.depth, width, c)
+    stack = np.zeros((1 << tree.depth, width, c))
+    stack[_real_rows(tree)] = q
+    return stack
+
+
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Apply the represented operator (or its transpose) to the columns of q.
 
@@ -147,18 +159,10 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     # every discrepancy block.
     up_bases = f.U if transpose else f.V
     down_bases = f.V if transpose else f.U
-    width = tree.max_leaf_size
-    uniform = tree.n == width << depth
-    if uniform:
-        x_leaf = q.reshape(1 << depth, width, c)
-    else:
-        real = _real_rows(tree)
-        x_leaf = np.zeros((1 << depth, width, c))
-        x_leaf[real] = q
 
     # x[l] stacks the inputs of the level-l nodes: leaf slices of q, then
     # the two children's projections one above the other.
-    x = [None] * depth + [x_leaf]
+    x = [None] * depth + [leaf_stack(tree, q)]
     for level in range(depth, 0, -1):
         rows = tree.n if level == depth else (2 * r) << level
         add_madds(matmul_madds(r, rows, c))
@@ -176,23 +180,27 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
         add_madds(matmul_madds(rows, r, c) + c * squares)
         disc = f.D[level].transpose(0, 2, 1) if transpose else f.D[level]
         y = down_bases[level] @ y.reshape(1 << level, r, c) + disc @ x[level]
-    return y.reshape(tree.n, c) if uniform else y[real]
+    if tree.min_leaf_size == tree.max_leaf_size:
+        return y.reshape(tree.n, c)  # a view; a mask gather slows one-vector applies
+    return y[_real_rows(tree)]
+
+
+def _column(f: HbsFactorization, q) -> np.ndarray:
+    """One vector as an n x 1 matrix, after checking its shape."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1 or q.shape[0] != f.n:
+        raise DimensionError(f"expected a length-{f.n} vector, got array of shape {q.shape}")
+    return q[:, None]
 
 
 def apply(f: HbsFactorization, q: np.ndarray) -> np.ndarray:
     """Apply the represented operator to one vector."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != f.n:
-        raise DimensionError(f"expected a length-{f.n} vector, got array of shape {q.shape}")
-    return apply_matrix(f, q[:, None])[:, 0]
+    return apply_matrix(f, _column(f, q))[:, 0]
 
 
 def apply_transpose(f: HbsFactorization, q: np.ndarray) -> np.ndarray:
     """Apply the transpose of the represented operator to one vector."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != f.n:
-        raise DimensionError(f"expected a length-{f.n} vector, got array of shape {q.shape}")
-    return apply_matrix(f, q[:, None], transpose=True)[:, 0]
+    return apply_matrix(f, _column(f, q), transpose=True)[:, 0]
 
 
 def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:

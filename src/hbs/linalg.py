@@ -4,7 +4,10 @@ and a power-method estimator for relative operator norms.
 
 All routines work on float64 ndarrays and are pure functions of their
 inputs, so identical seeds reproduce runs bit-for-bit on one platform.
+Basis and solve routines treat a (..., rows, cols) stack matrix by matrix.
 """
+
+import math
 
 import numpy as np
 
@@ -36,16 +39,16 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
     """Return k orthonormal columns spanning the column space captured by an
     unpivoted QR of `b` (safe here because callers only pass random-derived
     matrices, for which leading columns are generic)."""
-    rows, cols = b.shape
+    rows, cols = b.shape[-2:]
     if k > min(rows, cols):
         raise DimensionError(f"cannot extract {k} basis columns from a {rows} x {cols} matrix")
-    add_madds(qr_madds(rows, cols))
+    add_madds(math.prod(b.shape[:-2]) * qr_madds(rows, cols))
     q, _ = np.linalg.qr(b)
-    q = q[:, :k]
+    q = q[..., :k]
     if k == cols:
         # Full-width request must reproduce the input's column space exactly.
-        scale = np.linalg.norm(b)
-        if not (scale == 0.0 or np.linalg.norm(b - q @ (q.T @ b)) <= 1e-8 * scale):
+        residual = np.linalg.norm(b - q @ (q.swapaxes(-1, -2) @ b), axis=(-2, -1))
+        if not np.all(residual <= 1e-8 * np.linalg.norm(b, axis=(-2, -1))):
             raise NonFiniteError(
                 f"QR basis of a {rows} x {cols} matrix does not reproduce it; "
                 "the matrix holds non-finite or overflowing entries"
@@ -56,14 +59,15 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
 def nullspace(b: np.ndarray, k: int) -> np.ndarray:
     """Return k orthonormal columns of the nullspace of a wide matrix `b`,
     taken as the trailing columns of the full QR factor of b^T."""
-    rows, cols = b.shape
+    rows, cols = b.shape[-2:]
     if cols - rows < k:
         raise DimensionError(
             f"a {rows} x {cols} matrix only guarantees nullity {max(cols - rows, 0)}, need {k}"
         )
-    add_madds(qr_madds(cols, rows, full=True))
-    q, _ = np.linalg.qr(b.T, mode="complete")
-    return q[:, cols - k :]
+    add_madds(math.prod(b.shape[:-2]) * qr_madds(cols, rows, full=True))
+    q, _ = np.linalg.qr(b.swapaxes(-1, -2), mode="complete")
+    # A copy, so the complete factor is freed on return.
+    return q[..., cols - k :].copy()
 
 
 def lstsq_right(
@@ -73,25 +77,31 @@ def lstsq_right(
     pseudoinverse on the right: X = B M^+).
 
     Uses an SVD of M so rank deficiency is detected explicitly; singular
-    values below tol * sigma_max raise IllConditionedProbeError.
+    values below tol * sigma_max raise IllConditionedProbeError, whose
+    `index` is the flat position of the first such matrix in a stack.
     """
-    m_rows, m_cols = m.shape
+    m_rows, m_cols = m.shape[-2:]
     if m_rows > m_cols:
         raise DimensionError(f"probe matrix must be wide, got {m_rows} x {m_cols}")
-    if b.shape[1] != m_cols:
+    if b.shape[-1] != m_cols:
         raise DimensionError(
-            f"column mismatch: B is {b.shape[0]} x {b.shape[1]}, M is {m_rows} x {m_cols}"
+            f"column mismatch: B is {b.shape[-2]} x {b.shape[-1]}, M is {m_rows} x {m_cols}"
         )
-    add_madds(svd_madds(m_rows, m_cols))
+    batch = math.prod(m.shape[:-2])
+    add_madds(batch * svd_madds(m_rows, m_cols))
     u, sig, vt = np.linalg.svd(m, full_matrices=False)
-    if sig[0] == 0.0 or sig[-1] < tol * sig[0]:
+    ratio = sig[..., -1] / np.maximum(sig[..., 0], np.finfo(float).tiny)
+    bad = np.flatnonzero(ratio < tol)
+    if bad.size:
         raise IllConditionedProbeError(
             f"probe matrix ({m_rows} x {m_cols}) is rank deficient within tolerance "
-            f"{tol:g} (sigma_min/sigma_max = {sig[-1] / max(sig[0], np.finfo(float).tiny):.3e}); "
-            "increase the probe count s"
+            f"{tol:g} (sigma_min/sigma_max = {ratio.flat[bad[0]]:.3e}); "
+            "increase the probe count s",
+            index=int(bad[0]) if m.ndim > 2 else None,
         )
-    add_madds(matmul_madds(b.shape[0], m_cols, m_rows) + matmul_madds(b.shape[0], m_rows, m_rows))
-    return (b @ vt.T / sig) @ u.T
+    b_rows = b.shape[-2]
+    add_madds(batch * (matmul_madds(b_rows, m_cols, m_rows) + matmul_madds(b_rows, m_rows, m_rows)))
+    return (b @ vt.swapaxes(-1, -2) / sig[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def _gram_norm_estimate(op, op_t, x0, iters):

@@ -49,6 +49,23 @@ def compress_leaves(a, tree, r, s, seed):
     return samples, state
 
 
+def stack_nodes(state):
+    """Per-node (u, v, disc, samples) as one level's stacks, the way the
+    sweep holds them: (nodes, rows, .) arrays zero-padded to the largest
+    node, then the nodes' real sizes."""
+    width = max(ns.rows for *_, ns in state)
+
+    def stacked(blocks, cols=None):
+        out = np.zeros((len(blocks), width, cols or blocks[0].shape[1]))
+        for j, block in enumerate(blocks):
+            out[j, : block.shape[0], : block.shape[1]] = block
+        return out
+
+    u, v, d, ns = zip(*state)
+    samples = SampleSet(*(stacked([getattr(x, k) for x in ns]) for k in ("omega", "psi", "y", "z")))
+    return stacked(u), stacked(v), stacked(d, width), samples, [x.rows for x in ns]
+
+
 class TestDrawSamples:
     def test_identity_oracle(self):
         oracle = dense_oracle(np.eye(12))
@@ -206,7 +223,7 @@ class TestLiftToParent:
             att = a[begin:end, begin:end]
             state.append((u, v, att, ns))
         # the first parent of the level above the leaves
-        lifted = lift_to_parent(state[0], state[1])
+        lifted = lift_to_parent(*stack_nodes(state[:2]))
         np.testing.assert_allclose(lifted.y, 0.0, atol=1e-12)
         np.testing.assert_allclose(lifted.z, 0.0, atol=1e-12)
 
@@ -223,7 +240,7 @@ class TestLiftToParent:
         y_coarse = u_blk.T @ (samples.y - d_blk @ samples.omega)
         omega_coarse = v_blk.T @ samples.omega
         # the first node of level 1, parent of leaves 0 and 1 on this depth-2 tree
-        lifted = lift_to_parent(state[0], state[1])
+        lifted = lift_to_parent(*stack_nodes(state[:2]))[0]
         scale = np.linalg.norm(samples.y)
         assert np.linalg.norm(lifted.y - y_coarse[: 2 * r]) <= 1e-11 * scale
         assert np.linalg.norm(lifted.omega - omega_coarse[: 2 * r]) <= 1e-11 * scale
@@ -234,9 +251,26 @@ class TestLiftToParent:
         tree = build_tree(n, m)
         a = np.random.default_rng(20).standard_normal((n, n))
         _, state = compress_leaves(a, tree, r, s, seed=21)
-        lifted = lift_to_parent(state[0], state[1])
+        lifted = lift_to_parent(*stack_nodes(state[:2]))[0]
         assert lifted.omega.shape == (2 * r, s)
         assert lifted.y.shape == (2 * r, s)
+
+    def test_padded_children_lift_as_real_rows(self):
+        # leaves 2 and 3 hold 3 and 2 rows: the short one is zero-padded
+        n, m, r, s = 21, 4, 2, 10
+        tree = build_tree(n, m)
+        a = np.random.default_rng(45).standard_normal((n, n))
+        _, state = compress_leaves(a, tree, r, s, seed=46)
+        pair = state[2:4]
+        assert [ns.rows for *_, ns in pair] == [3, 2]
+        lifted = lift_to_parent(*stack_nodes(pair))[0]
+        expected_y = np.vstack([u.T @ (ns.y - d @ ns.omega) for u, _, d, ns in pair])
+        expected_z = np.vstack([v.T @ (ns.z - d.T @ ns.psi) for _, v, d, ns in pair])
+        expected_omega = np.vstack([v.T @ ns.omega for _, v, _, ns in pair])
+        scale = np.linalg.norm(a)
+        assert np.linalg.norm(lifted.y - expected_y) <= 1e-13 * scale
+        assert np.linalg.norm(lifted.z - expected_z) <= 1e-13 * scale
+        assert np.linalg.norm(lifted.omega - expected_omega) <= 1e-13 * scale
 
 
 class TestComputeRoot:
@@ -247,7 +281,7 @@ class TestComputeRoot:
         a = to_dense(random_hbs(tree, k, seed=22))
         _, state = compress_leaves(a, tree, r, s, seed=23)
         left, right = state
-        root_disc = compute_root(lift_to_parent(left, right))
+        root_disc = compute_root(lift_to_parent(*stack_nodes(state))[0])
         u_blk = scipy.linalg.block_diag(left[0], right[0])
         v_blk = scipy.linalg.block_diag(left[1], right[1])
         d_blk = scipy.linalg.block_diag(left[2], right[2])
@@ -258,8 +292,7 @@ class TestComputeRoot:
         n, r, m, s = 16, 3, 8, 17
         tree = build_tree(n, m)
         _, state = compress_leaves(np.zeros((n, n)), tree, r, s, seed=24)
-        left, right = state
-        root_disc = compute_root(lift_to_parent(left, right))
+        root_disc = compute_root(lift_to_parent(*stack_nodes(state))[0])
         np.testing.assert_allclose(root_disc, 0.0, atol=1e-12)
 
     def test_scaling_commutes(self):
@@ -400,6 +433,7 @@ class TestCompress:
         f = compress(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=43))
         err = np.linalg.norm(to_dense(f) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-10
+        f.validate()  # leaf blocks written by size class keep zero padding
 
     def test_compressed_bases_are_orthonormal(self):
         n = 200

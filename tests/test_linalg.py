@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hbs.errors import DimensionError, IllConditionedProbeError, NonFiniteError
+from hbs.flops import count_madds
 from hbs.linalg import col, gaussian_matrix, lstsq_right, nullspace, power_method_relnorm
 
 # Frozen regression values for the committed generator (seed 7, stream 0).
@@ -153,6 +154,32 @@ class TestLstsqRight:
     def test_rejects_tall_probe(self):
         with pytest.raises(DimensionError):
             lstsq_right(np.ones((3, 2)), np.ones((4, 2)))
+
+
+class TestStacks:
+    """A (b, rows, cols) stack is handled as b separate calls."""
+
+    def test_bitwise_equal_to_per_matrix_calls(self):
+        rng = np.random.default_rng(50)
+        wide = rng.standard_normal((4, 6, 15))
+        tall = rng.standard_normal((4, 15, 6))
+        rhs = rng.standard_normal((4, 5, 15))
+        with count_madds() as stacked:
+            z, q, x = nullspace(wide, 5), col(tall, 6), lstsq_right(rhs, wide)
+        with count_madds() as single:
+            for j in range(4):
+                assert np.array_equal(z[j], nullspace(wide[j], 5))
+                assert np.array_equal(q[j], col(tall[j], 6))
+                assert np.array_equal(x[j], lstsq_right(rhs[j], wide[j]))
+        assert stacked.madds == single.madds
+
+    def test_rank_deficient_entry_is_reported(self):
+        rng = np.random.default_rng(51)
+        m = rng.standard_normal((5, 3, 9))
+        m[3, 1] = m[3, 0]
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            lstsq_right(rng.standard_normal((5, 4, 9)), m)
+        assert excinfo.value.index == 3
 
 
 class TestPowerMethodRelnorm:
