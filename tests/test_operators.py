@@ -147,9 +147,32 @@ class TestDoubleLayerMatrix:
         dist = np.linalg.norm(diff, axis=-1)
         np.testing.assert_allclose(dist, dist.T, atol=0)
 
-    def test_rejects_tiny_n(self):
+
+class TestAdjointDoubleLayerMatrix:
+    def test_circle_kernel_is_constant(self):
+        # closed form on a circle of radius a: kernel = 1/(4 pi a) everywhere
+        a = 2.0
+        n = 64
+        c = circle_contour(a)
+        mat = adjoint_double_layer_matrix(n, c)
+        _, _, _, w = c.quadrature(n)
+        kernel = mat / w[None, :]
+        target = 1.0 / (4.0 * np.pi * a)
+        off = ~np.eye(n, dtype=bool)
+        np.testing.assert_allclose(kernel[off], target, rtol=1e-12)
+        # the diagonal goes through the eps-extrapolated smooth limit
+        np.testing.assert_allclose(np.diag(kernel), target, atol=1e-9)
+
+
+class TestLayerMatrices:
+    @pytest.mark.parametrize(
+        "build",
+        [double_layer_matrix, single_layer_matrix, adjoint_double_layer_matrix],
+        ids=lambda build: build.__name__,
+    )
+    def test_rejects_tiny_n(self, build):
         with pytest.raises(DimensionError):
-            double_layer_matrix(8, default_contour())
+            build(8, default_contour())
 
 
 class TestBieOracle:
