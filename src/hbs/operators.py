@@ -26,16 +26,14 @@ _ASSEMBLY_CHUNK = 4 * 1024 * 1024  # entries per row block when assembling kerne
 class Contour:
     """Smooth simple closed curve in polar form rho(theta) about the origin.
 
-    Vectorized evaluators for points, tangents, outward normals, arclength
-    density, and curvature; `quadrature(n)` places n equispaced-parameter
-    nodes with trapezoidal weights (spectrally accurate for smooth closed
-    curves).
+    Vectorized evaluators for points, tangents, outward normals and
+    arclength density; `quadrature(n)` places n equispaced-parameter nodes
+    with trapezoidal weights (spectrally accurate for smooth closed curves).
     """
 
-    def __init__(self, radius, dradius, ddradius):
+    def __init__(self, radius, dradius):
         self._radius = radius
         self._dradius = dradius
-        self._ddradius = ddradius
 
     def points(self, theta):
         rho = self._radius(theta)
@@ -48,17 +46,6 @@ class Contour:
             (drho * cos_t - rho * sin_t, drho * sin_t + rho * cos_t), axis=-1
         )
 
-    def second_derivatives(self, theta):
-        rho, drho, ddrho = self._radius(theta), self._dradius(theta), self._ddradius(theta)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        return np.stack(
-            (
-                ddrho * cos_t - 2.0 * drho * sin_t - rho * cos_t,
-                ddrho * sin_t + 2.0 * drho * cos_t - rho * sin_t,
-            ),
-            axis=-1,
-        )
-
     def speed(self, theta):
         return np.linalg.norm(self.derivatives(theta), axis=-1)
 
@@ -68,11 +55,6 @@ class Contour:
         return np.stack((d[..., 1], -d[..., 0]), axis=-1) / np.linalg.norm(
             d, axis=-1, keepdims=True
         )
-
-    def curvature(self, theta):
-        d = self.derivatives(theta)
-        dd = self.second_derivatives(theta)
-        return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / self.speed(theta) ** 3
 
     def quadrature(self, n: int):
         """Equispaced parameter nodes with trapezoidal arclength weights:
@@ -87,14 +69,13 @@ _STAR_AMPLITUDE = 0.15
 
 
 def default_contour() -> Contour:
-    """Five-lobed smooth star rho(theta) = 1 + 0.15 cos(5 theta); simple,
-    closed, with bounded curvature.  The lobe amplitude is chosen so the
-    benchmark rank budgets resolve the operator's off-diagonal blocks with
-    comfortable margin (deeper lobes raise the coarse-level block ranks)."""
+    """Five-lobed smooth star rho(theta) = 1 + 0.15 cos(5 theta), simple and
+    closed.  The lobe amplitude is chosen so the benchmark rank budgets
+    resolve the operator's off-diagonal blocks with comfortable margin
+    (deeper lobes raise the coarse-level block ranks)."""
     return Contour(
         radius=lambda t: 1.0 + _STAR_AMPLITUDE * np.cos(_STAR_LOBES * t),
         dradius=lambda t: -_STAR_AMPLITUDE * _STAR_LOBES * np.sin(_STAR_LOBES * t),
-        ddradius=lambda t: -_STAR_AMPLITUDE * _STAR_LOBES**2 * np.cos(_STAR_LOBES * t),
     )
 
 
@@ -104,51 +85,51 @@ def circle_contour(radius: float = 1.0) -> Contour:
     return Contour(
         radius=lambda t: np.full_like(np.asarray(t, dtype=np.float64), r),
         dradius=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-        ddradius=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
     )
 
 
-def _dl_kernel_pointwise(contour, theta_targets, theta_sources):
-    """Double-layer kernel (x - y) . n(y) / (4 pi |x - y|^2) evaluated
-    elementwise at paired parameter values (used for diagonal limits)."""
-    x = contour.points(theta_targets)
-    y = contour.points(theta_sources)
-    ny = contour.normals(theta_sources)
-    diff = x - y
-    r2 = np.sum(diff * diff, axis=-1)
-    return np.sum(diff * ny, axis=-1) / (4.0 * np.pi * r2)
+# Layer kernels of target x and source y, from diff = x - y, r2 = |x - y|^2
+# and the unit normals n_x, n_y; arrays broadcast over leading axes.
 
 
-def _adl_kernel_pointwise(contour, theta_targets, theta_sources):
-    """Adjoint double-layer kernel n(x) . (x - y) / (2 pi |x - y|^2),
-    elementwise at paired parameter values."""
-    x = contour.points(theta_targets)
-    y = contour.points(theta_sources)
-    nx = contour.normals(theta_targets)
-    diff = x - y
-    r2 = np.sum(diff * diff, axis=-1)
-    return np.sum(diff * nx, axis=-1) / (2.0 * np.pi * r2)
+def _double_layer_kernel(diff, r2, n_x, n_y):
+    """(x - y) . n(y) / (4 pi |x - y|^2)"""
+    return np.sum(diff * n_y, axis=-1) / (4.0 * np.pi * r2)
 
 
-def _diagonal_limit(kernel_pointwise, contour, theta):
+def _adjoint_double_layer_kernel(diff, r2, n_x, n_y):
+    """n(x) . (x - y) / (2 pi |x - y|^2)"""
+    return np.sum(diff * n_x, axis=-1) / (2.0 * np.pi * r2)
+
+
+def _single_layer_kernel(diff, r2, n_x, n_y):
+    """-(1/2 pi) log |x - y|, as -(1/4 pi) log |x - y|^2"""
+    return -np.log(r2) / (4.0 * np.pi)
+
+
+def _diagonal_limit(kernel, contour, theta):
     """Smooth diagonal limit of a layer kernel along the contour, by
     symmetric evaluation at theta +/- eps and one Richardson step (the
     symmetric average has only even-order error terms)."""
-    eps_coarse, eps_fine = 1.0e-3, 5.0e-4
+    x, n_x = contour.points(theta), contour.normals(theta)
     values = []
-    for eps in (eps_coarse, eps_fine):
-        plus = kernel_pointwise(contour, theta, theta + eps)
-        minus = kernel_pointwise(contour, theta, theta - eps)
-        values.append(0.5 * (plus + minus))
+    for eps in (1.0e-3, 5.0e-4):
+        pair = []
+        for source in (theta + eps, theta - eps):
+            diff = x - contour.points(source)
+            pair.append(kernel(diff, np.sum(diff * diff, axis=-1), n_x, contour.normals(source)))
+        values.append(0.5 * (pair[0] + pair[1]))
     return (4.0 * values[1] - values[0]) / 3.0
 
 
-def _assemble_weighted_kernel(n, contour, numerator, diagonal):
+def _layer_matrix(n, contour, kernel, diagonal=None):
     """Fill the n x n Nystrom matrix K[i, j] = w_j * kernel(i, j) in row
-    blocks; `numerator(diff, r2, row_slice, source_normals)` returns the
-    kernel values for a block of targets, `diagonal` the smooth limits at
-    the nodes."""
+    blocks.  The diagonal holds w_i times `diagonal(weights)`, or by default
+    the kernel's extrapolated smooth limit."""
+    if n < 16:
+        raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
     theta, pts, normals, weights = contour.quadrature(n)
+    diag = _diagonal_limit(kernel, contour, theta) if diagonal is None else diagonal(weights)
     out = np.empty((n, n))
     rows_per_block = max(1, _ASSEMBLY_CHUNK // n)
     for start in range(0, n, rows_per_block):
@@ -156,24 +137,17 @@ def _assemble_weighted_kernel(n, contour, numerator, diagonal):
         diff = pts[start:stop, None, :] - pts[None, :, :]
         r2 = np.sum(diff * diff, axis=-1)
         np.fill_diagonal(r2[:, start:stop], 1.0)  # keep self-pairs finite
-        out[start:stop] = numerator(diff, r2, slice(start, stop), normals) * weights[None, :]
-    np.fill_diagonal(out, weights * diagonal)
-    return out, theta, weights
+        k = kernel(diff, r2, normals[start:stop, None, :], normals[None, :, :])
+        out[start:stop] = k * weights[None, :]
+    np.fill_diagonal(out, weights * diag)
+    return out
 
 
 def double_layer_matrix(n: int, contour: Contour) -> np.ndarray:
     """Nystrom matrix of the second-kind operator 1/2 I + K, where K is the
     Laplace double layer (x - y) . n(y) / (4 pi |x - y|^2) on n equispaced
     nodes with trapezoidal weights and extrapolated diagonal limits."""
-    if n < 16:
-        raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
-
-    def numerator(diff, r2, rows, normals):
-        return np.sum(diff * normals[None, :, :], axis=-1) / (4.0 * np.pi * r2)
-
-    theta = 2.0 * np.pi * np.arange(n) / n
-    diag = _diagonal_limit(_dl_kernel_pointwise, contour, theta)
-    out, _, _ = _assemble_weighted_kernel(n, contour, numerator, diag)
+    out = _layer_matrix(n, contour, _double_layer_kernel)
     out[np.diag_indices(n)] += 0.5
     return out
 
@@ -182,32 +156,15 @@ def single_layer_matrix(n: int, contour: Contour) -> np.ndarray:
     """Nystrom matrix of the single layer -(1/2 pi) log |x - y| with a
     panel-averaged self-interaction rule on the diagonal:
     S[i, i] = w_i * (-1/2 pi) * log(w_i / (2 e))."""
-    if n < 16:
-        raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
-
-    def numerator(diff, r2, rows, normals):
-        return -np.log(r2) / (4.0 * np.pi)  # -(1/2 pi) log r as -(1/4 pi) log r^2
-
-    _, _, _, weights = contour.quadrature(n)
-    diag = -np.log(weights / (2.0 * np.e)) / (2.0 * np.pi)
-    out, _, _ = _assemble_weighted_kernel(n, contour, numerator, diag)
-    return out
+    return _layer_matrix(
+        n, contour, _single_layer_kernel, lambda w: -np.log(w / (2.0 * np.e)) / (2.0 * np.pi)
+    )
 
 
 def adjoint_double_layer_matrix(n: int, contour: Contour) -> np.ndarray:
     """Nystrom matrix of the adjoint double layer
     n(x) . (x - y) / (2 pi |x - y|^2), diagonal by extrapolated limits."""
-    if n < 16:
-        raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    target_normals = contour.normals(theta)
-
-    def numerator(diff, r2, rows, normals):
-        return np.sum(diff * target_normals[rows, None, :], axis=-1) / (2.0 * np.pi * r2)
-
-    diag = _diagonal_limit(_adl_kernel_pointwise, contour, theta)
-    out, _, _ = _assemble_weighted_kernel(n, contour, numerator, diag)
-    return out
+    return _layer_matrix(n, contour, _adjoint_double_layer_kernel)
 
 
 def dense_oracle(a: np.ndarray) -> MatVecOracle:

@@ -95,12 +95,6 @@ class TestContours:
         dist, idx = cKDTree(pts).query(pts, k=2)
         assert dist[:, 1].min() > 0.0
 
-    def test_curvature_finite(self):
-        c = default_contour()
-        theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        kappa = c.curvature(theta)
-        assert np.isfinite(kappa).all()
-
     def test_normals_point_outward(self):
         c = default_contour()
         theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -111,7 +105,6 @@ class TestContours:
         c = circle_contour(2.0)
         theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         np.testing.assert_allclose(np.linalg.norm(c.points(theta), axis=-1), 2.0)
-        np.testing.assert_allclose(c.curvature(theta), 0.5)
         np.testing.assert_allclose(c.speed(theta), 2.0)
 
 
