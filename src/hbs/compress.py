@@ -17,15 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, IllConditionedProbeError
 from .factorization import HbsFactorization, leaf_stack, node_sizes
 from .flops import add_madds, matmul_madds
-from .linalg import (
-    DEFAULT_ILL_CONDITIONING_TOL,
-    STREAM_OMEGA,
-    STREAM_PSI,
-    col,
-    gaussian_matrix,
-    lstsq_right,
-    nullspace,
-)
+from .linalg import STREAM_OMEGA, STREAM_PSI, col, gaussian_matrix, lstsq_right, nullspace
 from .oracle import MatVecOracle
 from .tree import ClusterTree, build_tree
 
@@ -33,14 +25,12 @@ from .tree import ClusterTree, build_tree
 @dataclass(frozen=True)
 class CompressionConfig:
     """Run parameters: basis rank r, leaf threshold m, probe count s (None
-    selects the default max(r + max leaf size, 3r)), RNG seed, and the
-    relative tolerance below which a probe matrix counts as rank deficient."""
+    selects the default max(r + max leaf size, 3r)) and RNG seed."""
 
     rank: int
     leaf_threshold: int
     probes: int | None = None
     seed: int = 0
-    ill_conditioning_tol: float = DEFAULT_ILL_CONDITIONING_TOL
 
     def validate_for(self, tree: ClusterTree) -> int:
         """Check feasibility against a concrete tree; returns the probe
@@ -139,12 +129,7 @@ def compress_node_bases(ns: SampleSet, r: int):
     return u, v, p, q
 
 
-def compute_discrepancy(
-    u: np.ndarray,
-    v: np.ndarray,
-    ns: SampleSet,
-    tol: float = DEFAULT_ILL_CONDITIONING_TOL,
-) -> np.ndarray:
+def compute_discrepancy(u: np.ndarray, v: np.ndarray, ns: SampleSet) -> np.ndarray:
     """Recover the discrepancy block of a node (or a stack of same-size nodes).
 
     The part of the diagonal block outside range(u) is read off the
@@ -153,8 +138,8 @@ def compute_discrepancy(
     node's test rows.
     """
     rows = ns.rows
-    y_solve = lstsq_right(ns.y, ns.omega, tol)
-    z_solve = lstsq_right(ns.z, ns.psi, tol)
+    y_solve = lstsq_right(ns.y, ns.omega)
+    z_solve = lstsq_right(ns.z, ns.psi)
     add_madds(ns.nodes * 6 * matmul_madds(u.shape[-1], rows, rows))
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
     left = y_solve - u @ (ut @ y_solve)
@@ -185,10 +170,10 @@ def lift_to_parent(u, v, disc, samples: SampleSet, sizes) -> SampleSet:
     return lifted.map(lambda a: a.reshape(nodes // 2, 2 * r, s))
 
 
-def compute_root(ns: SampleSet, tol: float = DEFAULT_ILL_CONDITIONING_TOL) -> np.ndarray:
+def compute_root(ns: SampleSet) -> np.ndarray:
     """At the root the whole remaining operator is the core, so one
     least-squares solve against the lifted test rows recovers it."""
-    return lstsq_right(ns.y, ns.omega, tol)
+    return lstsq_right(ns.y, ns.omega)
 
 
 def compress_from_samples(
@@ -201,7 +186,6 @@ def compress_from_samples(
     if samples.rows != tree.n:
         raise DimensionError(f"samples are for n={samples.rows}, tree has n={tree.n}")
     r = config.rank
-    tol = config.ill_conditioning_tol
     f = HbsFactorization.zeros(tree, r)
     stack = samples.map(lambda a: leaf_stack(tree, a))
     for level in range(tree.depth, 0, -1):
@@ -213,7 +197,7 @@ def compress_from_samples(
             ns = stack[members, :size]
             try:
                 u, v, _, _ = compress_node_bases(ns, r)
-                d = compute_discrepancy(u, v, ns, tol)
+                d = compute_discrepancy(u, v, ns)
             except IllConditionedProbeError as exc:
                 raise _at_node(exc, level, np.arange(sizes.size)[members][exc.index]) from exc
             f.U[level][members, :size] = u
@@ -221,7 +205,7 @@ def compress_from_samples(
             f.D[level][members, :size, :size] = d
         stack = lift_to_parent(f.U[level], f.V[level], f.D[level], stack, sizes)
     try:
-        f.root_disc[...] = compute_root(stack[0], tol)
+        f.root_disc[...] = compute_root(stack[0])
     except IllConditionedProbeError as exc:
         raise _at_node(exc, 0, 0) from exc
     return f

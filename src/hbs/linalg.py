@@ -20,7 +20,8 @@ STREAM_PSI = 1
 STREAM_POWER = 2
 STREAM_SYNTHETIC = 3
 
-DEFAULT_ILL_CONDITIONING_TOL = 1e-10
+# sigma_min / sigma_max below which a probe matrix counts as rank deficient.
+_ILL_CONDITIONING_TOL = 1e-10
 
 
 def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -70,15 +71,14 @@ def nullspace(b: np.ndarray, k: int) -> np.ndarray:
     return q[..., cols - k :].copy()
 
 
-def lstsq_right(
-    b: np.ndarray, m: np.ndarray, tol: float = DEFAULT_ILL_CONDITIONING_TOL
-) -> np.ndarray:
+def lstsq_right(b: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Solve min_X ||X M - B||_F for wide, full-row-rank M (i.e. apply M's
     pseudoinverse on the right: X = B M^+).
 
-    Uses an SVD of M so rank deficiency is detected explicitly; singular
-    values below tol * sigma_max raise IllConditionedProbeError, whose
-    `index` is the flat position of the first such matrix in a stack.
+    Uses an SVD of M so rank deficiency is detected explicitly; a ratio
+    sigma_min / sigma_max below _ILL_CONDITIONING_TOL raises
+    IllConditionedProbeError, whose `index` is the flat position of the
+    first such matrix in a stack.
     """
     m_rows, m_cols = m.shape[-2:]
     if m_rows > m_cols:
@@ -91,11 +91,11 @@ def lstsq_right(
     add_madds(batch * svd_madds(m_rows, m_cols))
     u, sig, vt = np.linalg.svd(m, full_matrices=False)
     ratio = sig[..., -1] / np.maximum(sig[..., 0], np.finfo(float).tiny)
-    bad = np.flatnonzero(ratio < tol)
+    bad = np.flatnonzero(ratio < _ILL_CONDITIONING_TOL)
     if bad.size:
         raise IllConditionedProbeError(
             f"probe matrix ({m_rows} x {m_cols}) is rank deficient within tolerance "
-            f"{tol:g} (sigma_min/sigma_max = {ratio.flat[bad[0]]:.3e}); "
+            f"{_ILL_CONDITIONING_TOL:g} (sigma_min/sigma_max = {ratio.flat[bad[0]]:.3e}); "
             "increase the probe count s",
             index=int(bad[0]) if m.ndim > 2 else None,
         )
