@@ -3,8 +3,9 @@
 Subcommands: `compress` (one run, optionally saving the factorization),
 `sweep` (a size sweep written as CSV or JSON lines), and `verify`
 (recompute the error estimate for a saved factorization against a freshly
-built oracle).  Exit codes: 0 success, 2 configuration error or
-non-finite oracle output, 3 ill-conditioned probe matrix.
+built oracle).  Exit codes: 0 success, 2 configuration error, non-finite
+oracle output, or a missing or malformed file, 3 ill-conditioned probe
+matrix.
 """
 
 import argparse
@@ -13,7 +14,13 @@ import sys
 
 from .bench import PROBLEMS, build_oracle, estimate_rel_err, run_once, sweep
 from .compress import CompressionConfig
-from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    IllConditionedProbeError,
+    NonFiniteError,
+)
 from .serialize import load_factorization, save_factorization
 
 EXIT_CONFIG = 2
@@ -34,6 +41,15 @@ def _add_config_arguments(parser):
     parser.add_argument(
         "--power-iters", type=int, default=20, help="power-method iterations for rel_err"
     )
+
+
+def _size_list(text):
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _config(args):
@@ -57,7 +73,9 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run a size sweep and write one row per size")
     _add_config_arguments(p_sweep)
-    p_sweep.add_argument("--n-list", required=True, help="comma-separated ascending sizes")
+    p_sweep.add_argument(
+        "--n-list", type=_size_list, required=True, help="comma-separated ascending sizes"
+    )
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--json", action="store_true", help="write JSON lines instead of CSV")
 
@@ -91,10 +109,9 @@ def _cmd_compress(args):
 
 
 def _cmd_sweep(args):
-    n_list = [int(part) for part in args.n_list.split(",") if part]
     sweep(
         args.problem,
-        n_list,
+        args.n_list,
         _config(args),
         args.out,
         power_iters=args.power_iters,
@@ -105,7 +122,10 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     f = load_factorization(args.load)
-    f.validate()
+    try:
+        f.validate()
+    except ValueError as exc:
+        raise FormatError(f"{args.load}: {exc}") from exc
     if f.n != args.n:
         raise ConfigurationError(f"file holds an n={f.n} factorization, requested n={args.n}")
     config = CompressionConfig(
@@ -131,6 +151,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NonFiniteError as exc:
         print(f"non-finite data: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (FormatError, OSError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IllConditionedProbeError as exc:
         print(f"ill-conditioned probe: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ import pytest
 
 from hbs import cli
 from hbs.errors import IllConditionedProbeError
-from hbs.serialize import load_factorization
+from hbs.serialize import load_factorization, save_factorization
 
 
 class TestCompressCommand:
@@ -79,6 +79,14 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].startswith("synthetic,128,")
 
+    def test_bad_size_list_exit_code(self, tmp_path, capsys):
+        argv = ["sweep", "--problem", "synthetic", "--n-list", "256,x", "--rank", "6"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--leaf", "12", "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n-list" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_verify_round_trip(self, tmp_path, capsys):
@@ -118,6 +126,41 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestVerifyBadFile:
+    # A missing or malformed --load file is bad outside input: exit code 2
+    # with a one-line message, not a traceback.
+    ARGS = ["--problem", "synthetic", "--n", "128", "--rank", "6", "--leaf", "12"]
+
+    def _saved(self, tmp_path, capsys):
+        path = tmp_path / "f.hbsf"
+        assert cli.main(["compress", *self.ARGS, "--save", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def _verify_fails(self, path, capsys):
+        code = cli.main(["verify", "--load", str(path), *self.ARGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        return err
+
+    def test_truncated_file(self, tmp_path, capsys):
+        path = self._saved(tmp_path, capsys)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert "truncated" in self._verify_fails(path, capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.hbsf"
+        assert "missing.hbsf" in self._verify_fails(path, capsys)
+
+    def test_non_orthonormal_basis(self, tmp_path, capsys):
+        path = self._saved(tmp_path, capsys)
+        f = load_factorization(path)
+        f.U[f.tree.depth] *= 2.0
+        save_factorization(f, path)
+        assert "orthonormality" in self._verify_fails(path, capsys)
 
 
 class TestNonFiniteData:
