@@ -47,9 +47,7 @@ def _size_list(text):
     try:
         return [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
 
 
 def _config(args):

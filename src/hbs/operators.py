@@ -112,14 +112,13 @@ def _diagonal_limit(kernel, contour, theta):
     symmetric evaluation at theta +/- eps and one Richardson step (the
     symmetric average has only even-order error terms)."""
     x, n_x = contour.points(theta), contour.normals(theta)
-    values = []
-    for eps in (1.0e-3, 5.0e-4):
-        pair = []
-        for source in (theta + eps, theta - eps):
-            diff = x - contour.points(source)
-            pair.append(kernel(diff, np.sum(diff * diff, axis=-1), n_x, contour.normals(source)))
-        values.append(0.5 * (pair[0] + pair[1]))
-    return (4.0 * values[1] - values[0]) / 3.0
+
+    def at(source):
+        diff = x - contour.points(source)
+        return kernel(diff, np.sum(diff * diff, axis=-1), n_x, contour.normals(source))
+
+    coarse, fine = (0.5 * (at(theta + eps) + at(theta - eps)) for eps in (1.0e-3, 5.0e-4))
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _layer_matrix(n, contour, kernel, diagonal=None):
@@ -215,8 +214,6 @@ class GridProblem:
     index sets for top half, bottom half, and the separator line, plus the
     assembled stiffness matrix."""
 
-    width: int
-    height: int
     stiffness: scipy.sparse.csr_matrix
     interior_top: np.ndarray
     interior_bottom: np.ndarray
@@ -248,8 +245,6 @@ def grid_problem(width: int, height: int = 51) -> GridProblem:
     )
     mid = height // 2
     return GridProblem(
-        width=width,
-        height=height,
         stiffness=stiffness,
         interior_top=idx[:mid].ravel(),
         interior_bottom=idx[mid + 1 :].ravel(),
