@@ -4,8 +4,8 @@ Subcommands: `compress` (one run, optionally saving the factorization),
 `sweep` (a size sweep written as CSV or JSON lines), and `verify`
 (recompute the error estimate for a saved factorization against a freshly
 built oracle).  Exit codes: 0 success, 2 configuration error, non-finite
-oracle output, or a missing or malformed file, 3 ill-conditioned probe
-matrix.
+oracle output, or a missing, malformed or unwritable file, 3 ill-conditioned
+probe matrix.
 """
 
 import argparse
@@ -119,10 +119,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    f = load_factorization(args.load)
     try:
-        f.validate()
-    except ValueError as exc:
+        f = load_factorization(args.load).validate()
+    except ValueError as exc:  # a block failed validation
         raise FormatError(f"{args.load}: {exc}") from exc
     if f.n != args.n:
         raise ConfigurationError(f"file holds an n={f.n} factorization, requested n={args.n}")

@@ -87,6 +87,12 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "--n-list" in err and "Traceback" not in err
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "sweep.csv"
+        argv = ["sweep", "--problem", "synthetic", "--n-list", "128", "--rank", "6"]
+        assert cli.main([*argv, "--leaf", "12", "--out", str(out)]) == 2
+        assert "missing-dir" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_verify_round_trip(self, tmp_path, capsys):
