@@ -88,21 +88,21 @@ def circle_contour(radius: float = 1.0) -> Contour:
     )
 
 
-# Layer kernels of target x and source y, from diff = x - y, r2 = |x - y|^2
-# and the unit normals n_x, n_y; arrays broadcast over leading axes.
+# Layer kernels of target x and source y, from the components (dx, dy) of x - y,
+# r2 = |x - y|^2 and the unit normals n_x, n_y as component pairs; arrays broadcast.
 
 
-def _double_layer_kernel(diff, r2, n_x, n_y):
+def _double_layer_kernel(dx, dy, r2, n_x, n_y):
     """(x - y) . n(y) / (4 pi |x - y|^2)"""
-    return np.sum(diff * n_y, axis=-1) / (4.0 * np.pi * r2)
+    return (dx * n_y[0] + dy * n_y[1]) / (4.0 * np.pi * r2)
 
 
-def _adjoint_double_layer_kernel(diff, r2, n_x, n_y):
+def _adjoint_double_layer_kernel(dx, dy, r2, n_x, n_y):
     """n(x) . (x - y) / (2 pi |x - y|^2)"""
-    return np.sum(diff * n_x, axis=-1) / (2.0 * np.pi * r2)
+    return (dx * n_x[0] + dy * n_x[1]) / (2.0 * np.pi * r2)
 
 
-def _single_layer_kernel(diff, r2, n_x, n_y):
+def _single_layer_kernel(dx, dy, r2, n_x, n_y):
     """-(1/2 pi) log |x - y|, as -(1/4 pi) log |x - y|^2"""
     return -np.log(r2) / (4.0 * np.pi)
 
@@ -111,11 +111,11 @@ def _diagonal_limit(kernel, contour, theta):
     """Smooth diagonal limit of a layer kernel along the contour, by
     symmetric evaluation at theta +/- eps and one Richardson step (the
     symmetric average has only even-order error terms)."""
-    x, n_x = contour.points(theta), contour.normals(theta)
+    x, n_x = contour.points(theta).T, contour.normals(theta).T
 
     def at(source):
-        diff = x - contour.points(source)
-        return kernel(diff, np.sum(diff * diff, axis=-1), n_x, contour.normals(source))
+        dx, dy = x - contour.points(source).T
+        return kernel(dx, dy, dx * dx + dy * dy, n_x, contour.normals(source).T)
 
     coarse, fine = (0.5 * (at(theta + eps) + at(theta - eps)) for eps in (1.0e-3, 5.0e-4))
     return (4.0 * fine - coarse) / 3.0
@@ -133,10 +133,10 @@ def _layer_matrix(n, contour, kernel, diagonal=None):
     rows_per_block = max(1, _ASSEMBLY_CHUNK // n)
     for start in range(0, n, rows_per_block):
         stop = min(start + rows_per_block, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        r2 = np.sum(diff * diff, axis=-1)
+        dx, dy = (c[start:stop, None] - c for c in pts.T)
+        r2 = dx * dx + dy * dy
         np.fill_diagonal(r2[:, start:stop], 1.0)  # keep self-pairs finite
-        k = kernel(diff, r2, normals[start:stop, None, :], normals[None, :, :])
+        k = kernel(dx, dy, r2, normals.T[:, start:stop, None], normals.T)
         out[start:stop] = k * weights[None, :]
     np.fill_diagonal(out, weights * diag)
     return out
