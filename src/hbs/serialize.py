@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 from .factorization import HbsFactorization, node_sizes
 from .tree import build_tree
 
@@ -46,8 +46,8 @@ def _take(buffer, offset, nbytes, what):
 
 
 def load_factorization(path) -> HbsFactorization:
-    """Read a factorization written by `save_factorization`; raises
-    FormatError on bad magic, unknown version, or truncation."""
+    """Read a factorization written by `save_factorization`; raises FormatError
+    on a bad header (magic, version, tree or node sizes), truncation or trailing bytes."""
     with open(path, "rb") as fh:
         buffer = memoryview(fh.read())  # slices without copying
     raw, offset = _take(buffer, 0, _HEADER.size, "header")
@@ -59,7 +59,10 @@ def load_factorization(path) -> HbsFactorization:
 
     if 8 * n > len(buffer):  # leaf discrepancies alone hold at least n floats
         raise FormatError(f"truncated file: {len(buffer)} bytes cannot hold an n={n} operator")
-    tree = build_tree(n, leaf_threshold)
+    try:
+        tree = build_tree(n, leaf_threshold)
+    except ConfigurationError as exc:
+        raise FormatError(f"header describes no tree: {exc}") from exc
     if tree.depth != depth:
         raise FormatError(
             f"header depth {depth} does not match the depth-{tree.depth} tree for "

@@ -156,6 +156,20 @@ class TestFormatErrors:
             with pytest.raises(FormatError):
                 load_factorization(path)
 
+    def test_header_tree_out_of_range(self, tmp_path):
+        # a leaf threshold no tree can be built from is a corrupt file, not
+        # a bad configuration
+        f = random_hbs(build_tree(64, 8), 2, seed=9)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        good = path.read_bytes()
+        for leaf_threshold in (0, 1, 10**6):
+            data = bytearray(good)
+            data[24:28] = leaf_threshold.to_bytes(4, "little")
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError):
+                load_factorization(path)
+
     def test_trailing_garbage(self, tmp_path):
         f = random_hbs(build_tree(32, 4), 2, seed=7)
         path = tmp_path / "f.hbsf"
