@@ -5,8 +5,9 @@ against Gaussian test matrices of s columns each.  A level sweep over the
 block stacks that apply uses then recovers each level's bases by projecting
 its probes onto the nullspace of the nodes' own test rows (so the samples
 see only off-diagonal contributions), its discrepancy blocks from
-least-squares solves against the test rows, and lifts its samples into the
-parent level's test/sample stacks until the root core is solved directly.
+least-squares solves against the test rows that reuse the same QR factors,
+and lifts its samples into the parent level's test/sample stacks until the
+root core is solved directly.
 """
 
 import math
@@ -37,11 +38,6 @@ class CompressionConfig:
         count to use."""
         if self.rank < 1:
             raise ConfigurationError(f"rank must be positive, got {self.rank}")
-        if self.leaf_threshold < self.rank:
-            raise ConfigurationError(
-                f"leaf threshold {self.leaf_threshold} < rank {self.rank}: "
-                "leaf bases would be wider than tall"
-            )
         if tree.min_leaf_size < self.rank:
             raise ConfigurationError(
                 f"smallest leaf has {tree.min_leaf_size} rows < rank {self.rank}; "
@@ -97,8 +93,6 @@ class SampleSet:
 def draw_samples(oracle: MatVecOracle, s: int, seed: int) -> SampleSet:
     """Draw the two Gaussian test matrices and take one batched product
     through each direction of the oracle."""
-    if s < 1:
-        raise DimensionError(f"need at least one probe column, got {s}")
     omega = gaussian_matrix(oracle.n, s, seed, STREAM_OMEGA)
     psi = gaussian_matrix(oracle.n, s, seed, STREAM_PSI)
     y = oracle.apply_batch(omega)
@@ -113,38 +107,41 @@ def compress_node_bases(ns: SampleSet, r: int):
     contribution, so y @ P is a randomized sample of the node's
     off-diagonal row block; orthonormalizing it gives the column basis.
     The row basis comes from the transposed-side quadruple the same way.
-    Returns (u, v, p, q) with p, q the nullspace projectors used.
+    Returns (u, v, omega_qr, psi_qr): the bases and the factors of omega
+    and psi, whose `null` fields are the nullspace bases P and Q used.
     """
     if ns.probes - ns.rows < r:
         raise ConfigurationError(
             f"probe count {ns.probes} leaves nullity {ns.probes - ns.rows} < rank {r} "
             f"for a {ns.rows}-row node; increase the probe count s"
         )
-    p = nullspace(ns.omega, r)
-    add_madds(ns.nodes * matmul_madds(ns.rows, ns.probes, r))
-    u = col(ns.y @ p, r)
-    q = nullspace(ns.psi, r)
-    add_madds(ns.nodes * matmul_madds(ns.rows, ns.probes, r))
-    v = col(ns.z @ q, r)
-    return u, v, p, q
+    add_madds(2 * ns.nodes * matmul_madds(ns.rows, ns.probes, r))
+    omega_qr = nullspace(ns.omega, r)
+    u = col(ns.y @ omega_qr.null, r)
+    psi_qr = nullspace(ns.psi, r)
+    v = col(ns.z @ psi_qr.null, r)
+    return u, v, omega_qr, psi_qr
 
 
-def compute_discrepancy(u: np.ndarray, v: np.ndarray, ns: SampleSet) -> np.ndarray:
+def compute_discrepancy(u, v, ns: SampleSet, omega_qr, psi_qr) -> np.ndarray:
     """Recover the discrepancy block of a node (or a stack of same-size nodes).
 
     The part of the diagonal block outside range(u) is read off the
     forward samples, the part inside range(u) but outside range(v)^T off
     the transposed ones; both reduce to least-squares solves against the
-    node's test rows.
+    node's test rows, passed as factors from `compress_node_bases` or as matrices.
     """
-    rows = ns.rows
-    y_solve = lstsq_right(ns.y, ns.omega)
-    z_solve = lstsq_right(ns.z, ns.psi)
-    add_madds(ns.nodes * 6 * matmul_madds(u.shape[-1], rows, rows))
+    add_madds(ns.nodes * 6 * matmul_madds(u.shape[-1], ns.rows, ns.rows))
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    left = y_solve - u @ (ut @ y_solve)
-    right = u @ (ut @ (z_solve - v @ (vt @ z_solve)).swapaxes(-1, -2))
-    return left + right
+    # z side first, cut to r rows, and in place: two level-sized arrays at most.
+    z_solve = lstsq_right(ns.z, psi_qr)
+    z_solve -= v @ (vt @ z_solve)
+    right = ut @ z_solve.swapaxes(-1, -2)
+    del z_solve
+    left = lstsq_right(ns.y, omega_qr)
+    left -= u @ (ut @ left)
+    left += u @ right
+    return left
 
 
 def lift_to_parent(u, v, disc, samples: SampleSet, sizes) -> SampleSet:
@@ -196,10 +193,11 @@ def compress_from_samples(
             members = slice(None) if classes.size == 1 else np.flatnonzero(sizes == size)
             ns = stack[members, :size]
             try:
-                u, v, _, _ = compress_node_bases(ns, r)
-                d = compute_discrepancy(u, v, ns)
+                u, v, omega_qr, psi_qr = compress_node_bases(ns, r)
+                d = compute_discrepancy(u, v, ns, omega_qr, psi_qr)
             except IllConditionedProbeError as exc:
                 raise _at_node(exc, level, np.arange(sizes.size)[members][exc.index]) from exc
+            del omega_qr, psi_qr  # level-sized, so freed before the lift
             f.U[level][members, :size] = u
             f.V[level][members, :size] = v
             f.D[level][members, :size, :size] = d

@@ -49,7 +49,11 @@ def qr_madds(m, n, full=False):
     return factor + form_q
 
 
-def svd_madds(m, n):
-    """Thin SVD of an m x n matrix; coarse Golub-Reinsch-style count."""
-    small = min(m, n)
-    return 2 * m * n * small + 4 * small**3
+def svdvals_madds(n):
+    """Singular values only of an n x n matrix (bidiagonalization dominates)."""
+    return 4 * n**3 // 3
+
+
+def solve_madds(n, k):
+    """LU of an n x n matrix, then k right-hand sides through both factors."""
+    return n**3 // 3 + k * n * n

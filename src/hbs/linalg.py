@@ -1,6 +1,6 @@
-"""Dense linear-algebra primitives: seeded Gaussian test matrices, QR-based
-column/nullspace bases, pseudoinverse action against wide probe matrices,
-and a power-method estimator for relative operator norms.
+"""Dense linear-algebra primitives: seeded Gaussian test matrices, QR column
+bases, one complete QR per wide probe matrix for its nullspace basis and its
+pseudoinverse action, and a power-method estimator for relative norms.
 
 All routines work on float64 ndarrays and are pure functions of their
 inputs, so identical seeds reproduce runs bit-for-bit on one platform.
@@ -8,11 +8,12 @@ Basis and solve routines treat a (..., rows, cols) stack matrix by matrix.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import DimensionError, IllConditionedProbeError, NonFiniteError
-from .flops import add_madds, matmul_madds, qr_madds, svd_madds
+from .flops import add_madds, matmul_madds, qr_madds, solve_madds, svdvals_madds
 
 # Named substreams of a single user seed, so one seed reproduces a full run.
 STREAM_OMEGA = 0
@@ -57,51 +58,51 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def nullspace(b: np.ndarray, k: int) -> np.ndarray:
-    """Return k orthonormal columns of the nullspace of a wide matrix `b`,
-    taken as the trailing columns of the full QR factor of b^T."""
-    rows, cols = b.shape[-2:]
+# One complete QR of a wide probe matrix M (or stack) transposed, M^T = [Q1 Q2] [R1; 0]:
+# `null` holds trailing columns of Q2, orthonormal in M's nullspace; M^+ = Q1 R1^{-T}.
+ProbeQR = namedtuple("ProbeQR", "null q1 r1")
+
+
+def nullspace(m: np.ndarray, k: int) -> ProbeQR:
+    """Factor a wide matrix `m` by one complete QR of m^T, whose `null` holds
+    k orthonormal nullspace columns; `lstsq_right` reuses it for m^+."""
+    rows, cols = m.shape[-2:]
     if cols - rows < k:
-        raise DimensionError(
-            f"a {rows} x {cols} matrix only guarantees nullity {max(cols - rows, 0)}, need {k}"
-        )
-    add_madds(math.prod(b.shape[:-2]) * qr_madds(cols, rows, full=True))
-    q, _ = np.linalg.qr(b.swapaxes(-1, -2), mode="complete")
-    # A copy, so the complete factor is freed on return.
-    return q[..., cols - k :].copy()
+        raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
+    add_madds(math.prod(m.shape[:-2]) * qr_madds(cols, rows, full=True))
+    q, r = np.linalg.qr(m.swapaxes(-1, -2), mode="complete")
+    return ProbeQR(null=q[..., cols - k :], q1=q[..., :rows], r1=r[..., :rows, :].copy())
 
 
-def lstsq_right(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+def lstsq_right(b: np.ndarray, m) -> np.ndarray:
     """Solve min_X ||X M - B||_F for wide, full-row-rank M (i.e. apply M's
     pseudoinverse on the right: X = B M^+).
 
-    Uses an SVD of M so rank deficiency is detected explicitly; a ratio
-    sigma_min / sigma_max below _ILL_CONDITIONING_TOL raises
-    IllConditionedProbeError, whose `index` is the flat position of the
-    first such matrix in a stack.
+    `m` is M itself or the ProbeQR that `nullspace` returned for it.  From
+    M^T = [Q1 Q2] [R1; 0], X = (B Q1) R1^{-T}: one product and one solve
+    against R1.  R1 has M's singular values; a ratio sigma_min / sigma_max
+    below _ILL_CONDITIONING_TOL raises IllConditionedProbeError, whose
+    `index` is the flat position of the first such matrix in a stack.
     """
-    m_rows, m_cols = m.shape[-2:]
-    if m_rows > m_cols:
-        raise DimensionError(f"probe matrix must be wide, got {m_rows} x {m_cols}")
-    if b.shape[-1] != m_cols:
-        raise DimensionError(
-            f"column mismatch: B is {b.shape[-2]} x {b.shape[-1]}, M is {m_rows} x {m_cols}"
-        )
-    batch = math.prod(m.shape[:-2])
-    add_madds(batch * svd_madds(m_rows, m_cols))
-    u, sig, vt = np.linalg.svd(m, full_matrices=False)
+    qr = m if isinstance(m, ProbeQR) else nullspace(m, 0)
+    cols, rows = qr.q1.shape[-2:]
+    if b.shape[-1] != cols:
+        raise DimensionError(f"column mismatch: B has {b.shape[-1]}, M is {rows} x {cols}")
+    sig = np.linalg.svd(qr.r1, compute_uv=False)
     ratio = sig[..., -1] / np.maximum(sig[..., 0], np.finfo(float).tiny)
     bad = np.flatnonzero(ratio < _ILL_CONDITIONING_TOL)
     if bad.size:
         raise IllConditionedProbeError(
-            f"probe matrix ({m_rows} x {m_cols}) is rank deficient within tolerance "
+            f"probe matrix ({rows} x {cols}) is rank deficient within tolerance "
             f"{_ILL_CONDITIONING_TOL:g} (sigma_min/sigma_max = {ratio.flat[bad[0]]:.3e}); "
             "increase the probe count s",
-            index=int(bad[0]) if m.ndim > 2 else None,
+            index=int(bad[0]) if qr.r1.ndim > 2 else None,
         )
     b_rows = b.shape[-2]
-    add_madds(batch * (matmul_madds(b_rows, m_cols, m_rows) + matmul_madds(b_rows, m_rows, m_rows)))
-    return (b @ vt.swapaxes(-1, -2) / sig[..., None, :]) @ u.swapaxes(-1, -2)
+    solve = matmul_madds(b_rows, cols, rows) + solve_madds(rows, b_rows)
+    add_madds(math.prod(qr.r1.shape[:-2]) * (svdvals_madds(rows) + solve))
+    # Batched and copy-free; on triangular R1 the LU does not pivot: a back substitution.
+    return np.linalg.solve(qr.r1, (b @ qr.q1).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _gram_norm_estimate(op, op_t, x0, iters):

@@ -28,8 +28,7 @@ class MatVecOracle:
         self._apply_fn = apply_batch_fn
         self._apply_t_fn = apply_transpose_batch_fn
         self._lock = threading.Lock()
-        self._count_a = 0
-        self._count_at = 0
+        self._counts = {"forward": 0, "transpose": 0}
         self._seconds = 0.0
 
     def _run(self, fn, x, direction):
@@ -43,23 +42,18 @@ class MatVecOracle:
             raise DimensionError(f"oracle product returned shape {y.shape}, expected {x.shape}")
         if not np.isfinite(y).all():
             raise NonFiniteError(f"oracle {direction} product returned NaN or infinite entries")
-        return y, x.shape[1], elapsed
+        with self._lock:
+            self._counts[direction] += x.shape[1]
+            self._seconds += elapsed
+        return y
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         """Product of the operator with the columns of x."""
-        y, cols, elapsed = self._run(self._apply_fn, x, "forward")
-        with self._lock:
-            self._count_a += cols
-            self._seconds += elapsed
-        return y
+        return self._run(self._apply_fn, x, "forward")
 
     def apply_transpose_batch(self, x: np.ndarray) -> np.ndarray:
         """Product of the transposed operator with the columns of x."""
-        y, cols, elapsed = self._run(self._apply_t_fn, x, "transpose")
-        with self._lock:
-            self._count_at += cols
-            self._seconds += elapsed
-        return y
+        return self._run(self._apply_t_fn, x, "transpose")
 
     def apply_vector(self, q: np.ndarray) -> np.ndarray:
         return self.apply_batch(np.asarray(q)[:, None])[:, 0]
@@ -71,7 +65,7 @@ class MatVecOracle:
     def matvec_count(self) -> tuple[int, int]:
         """(columns pushed through the operator, through its transpose)."""
         with self._lock:
-            return self._count_a, self._count_at
+            return self._counts["forward"], self._counts["transpose"]
 
     @property
     def seconds_in_products(self) -> float:

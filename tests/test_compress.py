@@ -43,8 +43,8 @@ def compress_leaves(a, tree, r, s, seed):
     state = []
     for begin, end in leaf_ranges(tree):
         ns = samples[begin:end]
-        u, v, _, _ = compress_node_bases(ns, r)
-        d = compute_discrepancy(u, v, ns)
+        u, v, *factors = compress_node_bases(ns, r)
+        d = compute_discrepancy(u, v, ns, *factors)
         state.append((u, v, d, ns))
     return samples, state
 
@@ -125,7 +125,8 @@ class TestCompressNodeBases:
             y=gaussian_matrix(m, s, 5, 1),
             z=gaussian_matrix(m, s, 5, 2),
         )
-        _, _, p, _ = compress_node_bases(ns, r)
+        _, _, omega_qr, _ = compress_node_bases(ns, r)
+        p = omega_qr.null
         # nullspace vectors cannot touch the identity block
         np.testing.assert_allclose(p[:m], 0.0, atol=1e-14)
 
@@ -155,7 +156,8 @@ class TestCompressNodeBases:
         )
         samples = sample_dense(a, s, seed=8)
         ns = samples[begin:end]
-        u, _, p, _ = compress_node_bases(ns, r)
+        u, _, omega_qr, _ = compress_node_bases(ns, r)
+        p = omega_qr.null
         # the projected sample is exactly zero, the basis merely orthonormal
         np.testing.assert_allclose(ns.y @ p, 0.0, atol=1e-12)
         assert np.linalg.norm(u.T @ u - np.eye(r)) <= 1e-12
@@ -179,8 +181,8 @@ class TestComputeDiscrepancy:
         samples = sample_dense(a, s, seed=11)
         for begin, end in leaf_ranges(tree)[:3]:
             ns = samples[begin:end]
-            u, v, _, _ = compress_node_bases(ns, r)
-            d = compute_discrepancy(u, v, ns)
+            u, v, *factors = compress_node_bases(ns, r)
+            d = compute_discrepancy(u, v, ns, *factors)
             att = a[begin:end, begin:end]
             expected = att - u @ (u.T @ att @ v) @ v.T
             assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(att)
@@ -192,7 +194,7 @@ class TestComputeDiscrepancy:
         omega_t = gaussian_matrix(m, s, 13, 0)
         psi_t = gaussian_matrix(m, s, 13, 1)
         ns = SampleSet(omega=omega_t, psi=psi_t, y=att @ omega_t, z=att.T @ psi_t)
-        d = compute_discrepancy(np.zeros((m, 0)), np.zeros((m, 0)), ns)
+        d = compute_discrepancy(np.zeros((m, 0)), np.zeros((m, 0)), ns, omega_t, psi_t)
         np.testing.assert_allclose(d, att, atol=1e-12)
 
     def test_identity_matrix_oracle(self):
@@ -203,7 +205,7 @@ class TestComputeDiscrepancy:
         omega_t = gaussian_matrix(m, s, 15, 0)
         psi_t = gaussian_matrix(m, s, 15, 1)
         ns = SampleSet(omega=omega_t, psi=psi_t, y=omega_t, z=psi_t)
-        d = compute_discrepancy(u, v, ns)
+        d = compute_discrepancy(u, v, ns, omega_t, psi_t)
         expected = np.eye(m) - u @ u.T @ v @ v.T
         np.testing.assert_allclose(d, expected, atol=1e-11)
 
@@ -414,6 +416,25 @@ class TestCompress:
         assert excinfo.value.node_id == 2**tree.depth - 1 + 3
         assert excinfo.value.level == tree.depth
 
+    def test_ill_conditioned_root_names_node(self):
+        # [[B, C], [C, B]] probed with the same test rows in both leaves: the
+        # leaves' test matrices have full rank, but both leaves see the same
+        # samples, (B + C) omega and (B + C)^T psi, and compress identically,
+        # so the lifted root test matrix repeats its r rows: rank r < 2r
+        m, r, s = 8, 2, 12
+        tree = build_tree(2 * m, m)
+        assert tree.depth == 1
+        rng = np.random.default_rng(47)
+        b, c = rng.standard_normal((2, m, m))
+        omega, psi = gaussian_matrix(m, s, 47, 0), gaussian_matrix(m, s, 47, 1)
+        y, z = (b + c) @ omega, (b + c).T @ psi
+        samples = SampleSet(*(np.vstack([x, x]) for x in (omega, psi, y, z)))
+        config = CompressionConfig(rank=r, leaf_threshold=m, probes=s, seed=47)
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            compress_from_samples(samples, tree, config)
+        assert excinfo.value.node_id == 0
+        assert excinfo.value.level == 0
+
     def test_depth_one_tree(self):
         # n just above the threshold: two leaves and the root core only
         n, k, r, m = 40, 3, 6, 20
@@ -434,6 +455,31 @@ class TestCompress:
         err = np.linalg.norm(to_dense(f) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-10
         f.validate()  # leaf blocks written by size class keep zero padding
+
+    def test_one_qr_per_probe_stack(self, monkeypatch):
+        # the discrepancy step reuses the basis step's factors, so each omega
+        # and psi stack (one per level and leaf size) and the root omega get
+        # one complete QR, and no SVD forms singular vectors
+        n, k, r, m = 333, 4, 8, 24
+        tree = build_tree(n, m)
+        a = to_dense(random_hbs(tree, k, seed=48))
+        qr, svd = np.linalg.qr, np.linalg.svd
+        modes, uv = [], []
+
+        def counting_qr(b, mode="reduced"):
+            modes.append(mode)
+            return qr(b, mode=mode)
+
+        def counting_svd(b, full_matrices=True, compute_uv=True):
+            uv.append(compute_uv)
+            return svd(b, full_matrices=full_matrices, compute_uv=compute_uv)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        compress(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=48))
+        size_classes = tree.depth + 1  # the leaf level holds two leaf sizes
+        assert modes.count("complete") == 2 * size_classes + 1
+        assert uv and not any(uv)
 
     def test_compressed_bases_are_orthonormal(self):
         n = 200

@@ -85,18 +85,18 @@ class TestCol:
 class TestNullspace:
     def test_coordinate_nullspace(self):
         b = np.array([[1.0, 0.0, 0.0]])
-        z = nullspace(b, 2)
+        z = nullspace(b, 2).null
         np.testing.assert_allclose(b @ z, 0.0, atol=1e-14)
         np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-13)
 
     def test_gaussian_residual(self):
         b = gaussian_matrix(5, 15, seed=3)
-        z = nullspace(b, 10)
+        z = nullspace(b, 10).null
         assert np.linalg.norm(b @ z) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(z.T @ z - np.eye(10)) <= 1e-12
 
     def test_zero_matrix(self):
-        z = nullspace(np.zeros((2, 4)), 2)
+        z = nullspace(np.zeros((2, 4)), 2).null
         assert z.shape == (4, 2)
         np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-14)
         assert np.linalg.norm(np.zeros((2, 4)) @ z) == 0.0
@@ -105,7 +105,7 @@ class TestNullspace:
         rng = np.random.default_rng(17)
         for rows, cols, k in ((3, 9, 4), (30, 90, 30), (60, 90, 30), (1, 2, 1)):
             b = rng.standard_normal((rows, cols))
-            z = nullspace(b, k)
+            z = nullspace(b, k).null
             assert np.linalg.norm(b @ z) <= 1e-12 * max(1.0, np.linalg.norm(b))
             assert np.linalg.norm(z.T @ z - np.eye(k)) <= 1e-12
 
@@ -165,13 +165,18 @@ class TestStacks:
         tall = rng.standard_normal((4, 15, 6))
         rhs = rng.standard_normal((4, 5, 15))
         with count_madds() as stacked:
-            z, q, x = nullspace(wide, 5), col(tall, 6), lstsq_right(rhs, wide)
+            qr, q = nullspace(wide, 5), col(tall, 6)
+            x, x_qr = lstsq_right(rhs, wide), lstsq_right(rhs, qr)
         with count_madds() as single:
             for j in range(4):
-                assert np.array_equal(z[j], nullspace(wide[j], 5))
+                qr_j = nullspace(wide[j], 5)
+                assert np.array_equal(qr.null[j], qr_j.null)
                 assert np.array_equal(q[j], col(tall[j], 6))
                 assert np.array_equal(x[j], lstsq_right(rhs[j], wide[j]))
+                assert np.array_equal(x_qr[j], lstsq_right(rhs[j], qr_j))
         assert stacked.madds == single.madds
+        # the nullspace factor solves exactly as a fresh factorization does
+        assert np.array_equal(x_qr, x)
 
     def test_rank_deficient_entry_is_reported(self):
         rng = np.random.default_rng(51)
@@ -179,6 +184,16 @@ class TestStacks:
         m[3, 1] = m[3, 0]
         with pytest.raises(IllConditionedProbeError) as excinfo:
             lstsq_right(rng.standard_normal((5, 4, 9)), m)
+        assert excinfo.value.index == 3
+
+    def test_rank_deficient_factor_is_reported(self):
+        # the nullspace step factors without judging rank; the solve checks
+        rng = np.random.default_rng(51)
+        m = rng.standard_normal((5, 3, 9))
+        m[3, 1] = m[3, 0]
+        qr = nullspace(m, 2)
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            lstsq_right(rng.standard_normal((5, 4, 9)), qr)
         assert excinfo.value.index == 3
 
 
