@@ -15,3 +15,10 @@ def child_env():
     src = str(Path(hbs.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def node_blocks(f, level, j):
+    """Views of (column basis, row basis, discrepancy) of node j of a level
+    of a factorization, leaf blocks cut to the leaf's size."""
+    rows = f.tree.leaf_sizes[j] if level == f.tree.depth else 2 * f.rank
+    return f.U[level][j, :rows], f.V[level][j, :rows], f.D[level][j, :rows, :rows]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import node_blocks
 
 from hbs.errors import DimensionError, ResourceLimitError
 from hbs.factorization import (
@@ -15,6 +16,7 @@ from hbs.factorization import (
     to_dense,
 )
 from hbs.flops import count_madds
+from hbs.linalg import STREAM_SYNTHETIC
 from hbs.tree import build_tree
 
 
@@ -165,7 +167,7 @@ class TestStorage:
         blocks = sum(block.size
                      for level in range(1, f.tree.depth + 1)
                      for j in range(2**level)
-                     for block in f.node_blocks(level, j))
+                     for block in node_blocks(f, level, j))
         assert report.total_floats == blocks + f.root_disc.size
 
     def test_flat_per_dof_when_n_doubles(self):
@@ -177,7 +179,42 @@ class TestStorage:
         assert 0.95 <= ratio <= 1.05
 
 
+def reference_random_hbs(tree, k, seed):
+    """The generator written node by node: each node's column basis, row
+    basis and discrepancy drawn in turn, in level order."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_SYNTHETIC,))
+    )
+    f = HbsFactorization.zeros(tree, k)
+    for level in range(1, tree.depth + 1):
+        for j in range(1 << level):
+            blocks = node_blocks(f, level, j)
+            rows = blocks[0].shape[0]
+            u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+            v = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+            d = rng.standard_normal((rows, rows))
+            d -= u @ (u.T @ d @ v) @ v.T
+            for block, value in zip(blocks, (u, v, d)):
+                block[...] = value
+    f.root_disc[...] = rng.standard_normal((2 * k, 2 * k))
+    return f
+
+
 class TestRandomHbs:
+    @pytest.mark.parametrize(
+        "n, m, k",
+        [(96, 12, 4), (101, 12, 5), (16001, 160, 35)],
+        ids=["uniform", "uneven", "uneven-blocked-qr"],
+    )
+    def test_matches_per_node_reference(self, n, m, k):
+        # k > 32 takes LAPACK's blocked QR
+        tree = build_tree(n, m)
+        f, ref = random_hbs(tree, k, seed=30), reference_random_hbs(tree, k, seed=30)
+        for level in range(1, tree.depth + 1):
+            for got, want in ((f.U, ref.U), (f.V, ref.V), (f.D, ref.D)):
+                assert np.array_equal(got[level], want[level])
+        assert np.array_equal(f.root_disc, ref.root_disc)
+
     def test_zero_rank_is_block_diagonal(self):
         tree = build_tree(40, 5)
         f = random_hbs(tree, 0, seed=17)

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import node_blocks
 
 from hbs.errors import FormatError
 from hbs.factorization import apply, random_hbs, to_dense
@@ -70,7 +71,7 @@ def blocks_in_level_order(f):
     """(column basis, row basis, discrepancy) of every non-root node, in
     level order."""
     return [
-        f.node_blocks(level, j) for level in range(1, f.tree.depth + 1) for j in range(2**level)
+        node_blocks(f, level, j) for level in range(1, f.tree.depth + 1) for j in range(2**level)
     ]
 
 
