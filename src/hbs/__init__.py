@@ -16,8 +16,8 @@ del os, _threads
 from .compress import (
     CompressionConfig,
     SampleSet,
-    compress,
     compress_from_samples,
+    compress_operator,
     draw_samples,
 )
 from .errors import (
@@ -61,8 +61,8 @@ __all__ = [
     "apply_matrix",
     "apply_transpose",
     "build_tree",
-    "compress",
     "compress_from_samples",
+    "compress_operator",
     "draw_samples",
     "load_factorization",
     "random_hbs",

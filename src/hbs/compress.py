@@ -216,7 +216,7 @@ def _at_node(exc: IllConditionedProbeError, level: int, j: int) -> IllConditione
     )
 
 
-def compress(oracle: MatVecOracle, config: CompressionConfig) -> HbsFactorization:
+def compress_operator(oracle: MatVecOracle, config: CompressionConfig) -> HbsFactorization:
     """Compress a black-box operator end to end: build the tree, draw the
     probe quadruple (exactly s columns through each direction), and sweep
     from the leaves to the root."""

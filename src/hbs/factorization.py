@@ -10,6 +10,7 @@ upward sweep, a root product, and a downward sweep, one stacked matrix
 product per level and step, in O(rank^2 * n) multiply-adds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,6 @@ class HbsFactorization:
     @property
     def n(self) -> int:
         return self.tree.n
-
-    def node_blocks(self, level: int, j: int):
-        """Views of (column basis, row basis, discrepancy) of node j of a
-        level, leaf blocks cut to the leaf's size."""
-        rows = self.tree.leaf_sizes[j] if level == self.tree.depth else 2 * self.rank
-        return self.U[level][j, :rows], self.V[level][j, :rows], self.D[level][j, :rows, :rows]
 
     def _check_shapes(self):
         r, depth = self.rank, self.tree.depth
@@ -130,16 +125,44 @@ def _real_rows(tree: ClusterTree) -> np.ndarray:
     return np.arange(tree.max_leaf_size) < np.array(tree.leaf_sizes)[:, None]
 
 
+def record_views(records: np.ndarray, rank: int, column_major: bool = False):
+    """Views of the column bases, row bases and discrepancies held in a
+    (nodes, record length) array of node records: each node's three blocks,
+    zero-padded to the level's row count, flattened row- (or column-) major."""
+    nodes, rows = len(records), math.isqrt(rank * rank + records.shape[1]) - rank
+    blocks = zip(np.split(records, [rows * rank, 2 * rows * rank], axis=1), (rank, rank, rows))
+    return tuple(b.reshape(nodes, cols, rows).transpose(0, 2, 1) if column_major
+                 else b.reshape(nodes, rows, cols) for b, cols in blocks)
+
+
+def record_mask(tree: ClusterTree, rank: int, level: int, column_major: bool = False):
+    """Mask of the real entries of a level's node records; in row-major
+    order its True entries are the unpadded blocks' entries, node by node."""
+    real = _real_rows(tree) if level == tree.depth else np.ones((1 << level, 2 * rank), bool)
+    mask = np.empty((len(real), real.shape[1] * (2 * rank + real.shape[1])), dtype=bool)
+    u, v, d = record_views(mask, rank, column_major)
+    u[...] = v[...] = real[:, :, None]
+    d[...] = real[:, :, None] & real[:, None, :]
+    return mask
+
+
+def fill_records(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows of `data` at the True entries of `mask`, zeros elsewhere, as
+    a mask.shape + data.shape[1:] array (a reshape view if no entry is False)."""
+    if mask.all():
+        return data.reshape(mask.shape + data.shape[1:])
+    records = np.zeros(mask.shape + data.shape[1:])
+    records[mask] = data
+    return records
+
+
 def leaf_stack(tree: ClusterTree, q: np.ndarray) -> np.ndarray:
     """The rows of an n x c matrix as a (2^depth, max leaf size, c) stack of
     leaf slices: a reshape view when leaves are uniform, a zero-padded copy
     otherwise."""
-    width, c = tree.max_leaf_size, q.shape[1]
-    if tree.min_leaf_size == width:
-        return q.reshape(1 << tree.depth, width, c)
-    stack = np.zeros((1 << tree.depth, width, c))
-    stack[_real_rows(tree)] = q
-    return stack
+    if tree.min_leaf_size == tree.max_leaf_size:  # skips building the mask
+        return q.reshape(1 << tree.depth, tree.max_leaf_size, q.shape[1])
+    return fill_records(q, _real_rows(tree))
 
 
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -208,14 +231,15 @@ def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     refuses dimensions above `max_n` to protect the linear-memory contract)."""
     if f.n > max_n:
         raise ResourceLimitError(f"refusing to densify a {f.n} x {f.n} matrix (cap {max_n})")
-    import scipy.linalg
-
     core = f.root_disc
-    for level in range(1, f.tree.depth + 1):
-        blocks = [f.node_blocks(level, j) for j in range(1 << level)]
-        u_blk, v_blk, d_blk = (scipy.linalg.block_diag(*parts) for parts in zip(*blocks))
-        core = u_blk @ core @ v_blk.T + d_blk
-    return core
+    for u, v, d in zip(f.U[1:], f.V[1:], f.D[1:]):
+        nodes, rows, r = u.shape
+        left = (u @ core.reshape(nodes, r, nodes * r)).reshape(nodes * rows, nodes * r)
+        core_t = (v @ left.T.reshape(nodes, r, nodes * rows)).reshape(nodes, rows, nodes, rows)
+        core_t[np.arange(nodes), :, np.arange(nodes)] += d.transpose(0, 2, 1)
+        core = core_t.reshape(nodes * rows, nodes * rows).T
+    real = _real_rows(f.tree).ravel()
+    return core[real][:, real]
 
 
 @dataclass(frozen=True)
@@ -257,8 +281,8 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     Bases are orthonormalized Gaussian blocks; discrepancy blocks are
     Gaussian with their basis-visible component projected out, which makes
     the emitted blocks coincide with the canonical telescoping factors of
-    the generator's own dense matrix.  Blocks are drawn node by node in
-    level order.
+    the generator's own dense matrix.  One Gaussian draw per level fills its
+    node records (`record_mask`), so blocks are drawn node by node.
     """
     if k < 0:
         raise DimensionError(f"block rank must be nonnegative, got {k}")
@@ -269,14 +293,12 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_SYNTHETIC,))
     )
-    f = HbsFactorization.zeros(tree, k)
+    f = HbsFactorization.zeros(tree, k)  # its stacks are replaced unwritten
     for level in range(1, tree.depth + 1):
-        for j, rows in enumerate(node_sizes(tree, k, level)):
-            u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
-            v = np.linalg.qr(rng.standard_normal((rows, k)))[0]
-            d = rng.standard_normal((rows, rows))
-            d -= u @ (u.T @ d @ v) @ v.T
-            for block, value in zip(f.node_blocks(level, j), (u, v, d)):
-                block[...] = value
+        mask = record_mask(tree, k, level)
+        u, v, d = record_views(fill_records(rng.standard_normal(np.count_nonzero(mask)), mask), k)
+        u, v = np.linalg.qr(u)[0], np.linalg.qr(v)[0]
+        visible = u @ (u.transpose(0, 2, 1) @ d @ v) @ v.transpose(0, 2, 1)
+        f.U[level], f.V[level], f.D[level] = u, v, np.subtract(d, visible, out=visible)
     f.root_disc[...] = rng.standard_normal((2 * k, 2 * k))
     return f.validate()

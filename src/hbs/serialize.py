@@ -3,9 +3,9 @@
 Layout: magic bytes "HBSF", a u32 format version, a self-describing header
 (n, rank, depth, leaf threshold, then one u32 row count per non-root node
 in level order), followed by all blocks as little-endian float64 in
-column-major order — for each non-root node in level order its column
-basis, row basis, and discrepancy block, and the root core last.  Round
-trips are bit-exact.
+column-major order — for each non-root node in level order its record of
+column basis, row basis, and discrepancy block (`factorization.record_views`),
+and the root core last.  Round trips are bit-exact.
 """
 
 import struct
@@ -13,12 +13,13 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .factorization import HbsFactorization, node_sizes
+from .factorization import HbsFactorization, fill_records, node_sizes, record_mask, record_views
 from .tree import build_tree
 
 MAGIC = b"HBSF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQIII")  # magic, version, n, rank, depth, leaf_threshold
+_CHUNK_FLOATS = 1 << 17  # 1 MiB: records are written in chunks, not level-sized copies
 
 
 def save_factorization(f: HbsFactorization, path) -> None:
@@ -31,11 +32,16 @@ def save_factorization(f: HbsFactorization, path) -> None:
         )
         for level in levels:
             fh.write(np.array(node_sizes(tree, r, level), dtype="<u4").tobytes())
-        # The C-order bytes of a block's transpose are its column-major bytes.
         for level in levels:
-            for j in range(1 << level):
-                for block in f.node_blocks(level, j):
-                    fh.write(np.ascontiguousarray(block.T, dtype="<f8"))
+            mask = record_mask(tree, r, level, column_major=True)
+            padded, step = not mask.all(), max(1, _CHUNK_FLOATS // max(1, mask.shape[1]))
+            buffer = np.empty((min(step, len(mask)), mask.shape[1]), dtype="<f8")
+            for first in range(0, len(mask), step):
+                chunk = slice(first, first + step)
+                records = buffer[: len(mask[chunk])]
+                for view, stacks in zip(record_views(records, r, True), (f.U, f.V, f.D)):
+                    view[...] = stacks[level][chunk]
+                fh.write(records[mask[chunk]] if padded else records)
         fh.write(np.ascontiguousarray(f.root_disc.T, dtype="<f8"))
 
 
@@ -90,9 +96,12 @@ def load_factorization(path) -> HbsFactorization:
         raise FormatError(f"{len(buffer) - offset - nbytes} trailing bytes after root core")
 
     f = HbsFactorization.zeros(tree, rank)
-    blocks = [b for level in levels for j in range(1 << level) for b in f.node_blocks(level, j)]
-    for block in (*blocks, f.root_disc):
-        data = np.frombuffer(buffer, dtype="<f8", count=block.size, offset=offset)
-        block[...] = data.reshape(block.shape, order="F")
-        offset += 8 * block.size
+    for level in levels:
+        mask = record_mask(tree, rank, level, column_major=True)
+        data = np.frombuffer(buffer, dtype="<f8", count=np.count_nonzero(mask), offset=offset)
+        offset += data.nbytes
+        views = record_views(fill_records(data, mask), rank, column_major=True)
+        f.U[level][...], f.V[level][...], f.D[level][...] = views
+    data = np.frombuffer(buffer, dtype="<f8", count=f.root_disc.size, offset=offset)
+    f.root_disc[...] = data.reshape(f.root_disc.shape, order="F")
     return f

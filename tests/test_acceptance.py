@@ -11,7 +11,7 @@ import numpy as np
 
 import hbs
 from hbs import bench, operators
-from hbs.compress import CompressionConfig, compress, compress_from_samples, draw_samples
+from hbs.compress import CompressionConfig, compress_from_samples, compress_operator, draw_samples
 from hbs.factorization import apply_matrix, random_hbs, to_dense
 from hbs.flops import count_madds
 from hbs.linalg import power_method_relnorm
@@ -38,7 +38,8 @@ def test_exact_rank_oracle_recovery():
             assert tree.depth == depth
             a = to_dense(random_hbs(tree, k, seed=100 + k + depth))
             oracle = dense_oracle(a)
-            f = compress(oracle, CompressionConfig(rank=r, leaf_threshold=m, probes=s, seed=0))
+            config = CompressionConfig(rank=r, leaf_threshold=m, probes=s, seed=0)
+            f = compress_operator(oracle, config)
             assert oracle.matvec_count == (s, s)
             err = bench.estimate_rel_err(oracle, f, iters=20, seed=0)
             worst = max(worst, err)
@@ -55,7 +56,7 @@ def test_probe_budget_exactness():
         oracle = dense_oracle(a)
         config = CompressionConfig(rank=r, leaf_threshold=m, seed=1)
         s = config.validate_for(tree)
-        compress(oracle, config)
+        compress_operator(oracle, config)
         assert oracle.matvec_count == (s, s)
     assert not hasattr(oracle, "entry")  # no entry-access channel exists
     report("probe budget exactness", "counters == (s, s) on every run")
@@ -85,7 +86,8 @@ def test_bie_double_layer_sweep():
     errs, per_dof = [], []
     for n in (1200, 2400, 4800, 9600):
         oracle = operators.bie_oracle(n, contour)
-        f = compress(oracle, CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=0))
+        config = CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=0)
+        f = compress_operator(oracle, config)
         assert oracle.matvec_count == (90, 90)
         errs.append(bench.estimate_rel_err(oracle, f, iters=20, seed=0))
         per_dof.append(hbs.storage(f).floats_per_dof)
@@ -111,7 +113,7 @@ def test_neumann_to_dirichlet_sweep():
     errs = []
     for n in (1000, 2000, 4000):
         oracle = ntd_oracle(n, contour)
-        f = compress(oracle, CompressionConfig(rank=40, leaf_threshold=80, seed=0))
+        f = compress_operator(oracle, CompressionConfig(rank=40, leaf_threshold=80, seed=0))
         s = max(40 + build_tree(n, 80).max_leaf_size, 120)
         assert oracle.matvec_count == (s, s)
         errs.append(bench.estimate_rel_err(oracle, f, iters=20, seed=0))
@@ -129,7 +131,8 @@ def test_schur_complement_sweep():
     errs, syms = [], []
     for width in (400, 800, 1600):
         oracle = schur_oracle(width, 51)
-        f = compress(oracle, CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=0))
+        config = CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=0)
+        f = compress_operator(oracle, config)
         assert oracle.matvec_count == (90, 90)
         errs.append(bench.estimate_rel_err(oracle, f, iters=20, seed=0))
         dense = to_dense(f)

@@ -7,9 +7,9 @@ import scipy.linalg
 from hbs.compress import (
     CompressionConfig,
     SampleSet,
-    compress,
     compress_from_samples,
     compress_node_bases,
+    compress_operator,
     compute_discrepancy,
     compute_root,
     draw_samples,
@@ -303,8 +303,8 @@ class TestComputeRoot:
         n = 64
         a = np.random.default_rng(25).standard_normal((n, n))
         config = CompressionConfig(rank=4, leaf_threshold=8, seed=26)
-        f1 = compress(dense_oracle(a), config)
-        f2 = compress(dense_oracle(3.0 * a), config)
+        f1 = compress_operator(dense_oracle(a), config)
+        f2 = compress_operator(dense_oracle(3.0 * a), config)
         assert np.linalg.norm(f2.root_disc - 3.0 * f1.root_disc) <= 1e-12 * np.linalg.norm(
             f1.root_disc
         )
@@ -316,7 +316,8 @@ class TestCompress:
         tree = build_tree(n, m)
         a = to_dense(random_hbs(tree, k, seed=27))
         oracle = dense_oracle(a)
-        f = compress(oracle, CompressionConfig(rank=r, leaf_threshold=m, probes=45, seed=28))
+        config = CompressionConfig(rank=r, leaf_threshold=m, probes=45, seed=28)
+        f = compress_operator(oracle, config)
         err = np.linalg.norm(to_dense(f) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-10
         assert oracle.matvec_count == (45, 45)
@@ -325,7 +326,7 @@ class TestCompress:
         n = 200
         a = np.diag(np.linspace(1.0, 2.0, n))
         oracle = dense_oracle(a)
-        f = compress(oracle, CompressionConfig(rank=5, leaf_threshold=10, seed=29))
+        f = compress_operator(oracle, CompressionConfig(rank=5, leaf_threshold=10, seed=29))
         err = np.linalg.norm(to_dense(f) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-12
 
@@ -335,15 +336,15 @@ class TestCompress:
         oracle = dense_oracle(a)
         config = CompressionConfig(rank=6, leaf_threshold=16, seed=31)
         s = config.validate_for(build_tree(n, 16))
-        compress(oracle, config)
+        compress_operator(oracle, config)
         assert oracle.matvec_count == (s, s)
 
     def test_deterministic_bitwise(self):
         n = 96
         a = to_dense(random_hbs(build_tree(n, 12), 3, seed=32))
         config = CompressionConfig(rank=5, leaf_threshold=12, seed=33)
-        f1 = compress(dense_oracle(a), config)
-        f2 = compress(dense_oracle(a), config)
+        f1 = compress_operator(dense_oracle(a), config)
+        f2 = compress_operator(dense_oracle(a), config)
         assert np.array_equal(f1.root_disc, f2.root_disc)
         for level in range(1, f1.tree.depth + 1):
             assert np.array_equal(f1.U[level], f2.U[level])
@@ -359,7 +360,7 @@ class TestCompress:
         for rank in (7, 15):
             errs = []
             for seed in range(10):
-                f = compress(
+                f = compress_operator(
                     dense_oracle(a),
                     CompressionConfig(rank=rank, leaf_threshold=30, seed=seed),
                 )
@@ -441,7 +442,7 @@ class TestCompress:
         tree = build_tree(n, m)
         assert tree.depth == 1
         a = to_dense(random_hbs(tree, k, seed=40))
-        f = compress(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=41))
+        f = compress_operator(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=41))
         err = np.linalg.norm(to_dense(f) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-11
 
@@ -451,7 +452,7 @@ class TestCompress:
         tree = build_tree(n, m)
         assert tree.min_leaf_size != tree.max_leaf_size
         a = to_dense(random_hbs(tree, k, seed=42))
-        f = compress(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=43))
+        f = compress_operator(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=43))
         err = np.linalg.norm(to_dense(f) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-10
         f.validate()  # leaf blocks written by size class keep zero padding
@@ -476,7 +477,7 @@ class TestCompress:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        compress(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=48))
+        compress_operator(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=48))
         size_classes = tree.depth + 1  # the leaf level holds two leaf sizes
         assert modes.count("complete") == 2 * size_classes + 1
         assert uv and not any(uv)
@@ -484,7 +485,8 @@ class TestCompress:
     def test_compressed_bases_are_orthonormal(self):
         n = 200
         a = to_dense(random_hbs(build_tree(n, 20), 4, seed=37))
-        f = compress(dense_oracle(a), CompressionConfig(rank=8, leaf_threshold=20, seed=38))
+        config = CompressionConfig(rank=8, leaf_threshold=20, seed=38)
+        f = compress_operator(dense_oracle(a), config)
         f.validate()  # orthonormality <= 1e-10 at every node, finite blocks
 
     def test_config_validation(self):
@@ -495,3 +497,12 @@ class TestCompress:
             CompressionConfig(rank=2, leaf_threshold=8, probes=9).validate_for(tree)
         with pytest.raises(ConfigurationError):
             CompressionConfig(rank=0, leaf_threshold=8).validate_for(tree)
+
+
+def test_package_compress_attribute_is_the_module():
+    # no function of the package namespace shadows the compressor module
+    import importlib
+
+    import hbs
+
+    assert hbs.compress is importlib.import_module("hbs.compress")

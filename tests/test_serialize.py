@@ -38,8 +38,9 @@ class TestRoundTrip:
         q = np.random.default_rng(2).standard_normal(101)
         np.testing.assert_array_equal(apply(f, q), apply(g, q))
 
-    def test_loaded_copy_applies_identically(self, tmp_path):
-        f = random_hbs(build_tree(64, 8), 3, seed=3)
+    @pytest.mark.parametrize("n, m", [(64, 8), (101, 12)], ids=["uniform", "uneven"])
+    def test_loaded_copy_applies_identically(self, tmp_path, n, m):
+        f = random_hbs(build_tree(n, m), 3, seed=3)
         path = tmp_path / "f.hbsf"
         save_factorization(f, path)
         dense_before = to_dense(f)
@@ -76,10 +77,14 @@ def blocks_in_level_order(f):
 
 
 class TestFileLayout:
-    def test_uneven_leaves_byte_layout(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n, leaf_sizes", [(96, {12}), (101, {6, 7})], ids=["uniform", "uneven"]
+    )
+    def test_byte_layout(self, tmp_path, n, leaf_sizes):
         # parse the bytes by hand, per the README "File format" section,
-        # so a drift shared by save and load still fails
-        tree = build_tree(101, 12)
+        # so a drift shared by save and load still fails; uniform leaves
+        # leave no padding in any node record, uneven ones pad the leaves
+        tree = build_tree(n, 12)
         r = 4
         f = random_hbs(tree, r, seed=10)
         path = tmp_path / "f.hbsf"
@@ -87,7 +92,7 @@ class TestFileLayout:
         data = path.read_bytes()
 
         header = struct.Struct("<4sIQIII")
-        assert header.unpack_from(data, 0) == (b"HBSF", 1, 101, r, tree.depth, 12)
+        assert header.unpack_from(data, 0) == (b"HBSF", 1, n, r, tree.depth, 12)
         offset = header.size
 
         blocks = blocks_in_level_order(f)
@@ -96,7 +101,7 @@ class TestFileLayout:
         offset += 4 * len(blocks)
         leaf_rows = rows[-(2**tree.depth) :]
         assert rows[: -len(leaf_rows)] == (2 * r,) * (len(rows) - len(leaf_rows))
-        assert set(leaf_rows) == {6, 7} and sum(leaf_rows) == 101
+        assert set(leaf_rows) == leaf_sizes and sum(leaf_rows) == n
 
         def take(shape):
             nonlocal offset
