@@ -126,9 +126,9 @@ def _real_rows(tree: ClusterTree) -> np.ndarray:
 
 
 def record_views(records: np.ndarray, rank: int, column_major: bool = False):
-    """Views of the column bases, row bases and discrepancies held in a
-    (nodes, record length) array of node records: each node's three blocks,
-    zero-padded to the level's row count, flattened row- (or column-) major."""
+    """Views of the column bases, row bases and discrepancies in a (nodes,
+    rows * (2 * rank + rows)) array of node records: each node's three blocks,
+    zero-padded to `rows`, flattened row- (or column-) major, one after another."""
     nodes, rows = len(records), math.isqrt(rank * rank + records.shape[1]) - rank
     blocks = zip(np.split(records, [rows * rank, 2 * rows * rank], axis=1), (rank, rank, rows))
     return tuple(b.reshape(nodes, cols, rows).transpose(0, 2, 1) if column_major
@@ -147,8 +147,7 @@ def record_mask(tree: ClusterTree, rank: int, level: int, column_major: bool = F
 
 
 def fill_records(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The rows of `data` at the True entries of `mask`, zeros elsewhere, as
-    a mask.shape + data.shape[1:] array (a reshape view if no entry is False)."""
+    """Rows of `data` at the True entries of `mask`, zeros elsewhere (a view if all True)."""
     if mask.all():
         return data.reshape(mask.shape + data.shape[1:])
     records = np.zeros(mask.shape + data.shape[1:])
@@ -160,7 +159,7 @@ def leaf_stack(tree: ClusterTree, q: np.ndarray) -> np.ndarray:
     """The rows of an n x c matrix as a (2^depth, max leaf size, c) stack of
     leaf slices: a reshape view when leaves are uniform, a zero-padded copy
     otherwise."""
-    if tree.min_leaf_size == tree.max_leaf_size:  # skips building the mask
+    if tree.min_leaf_size == tree.max_leaf_size:  # no mask to build
         return q.reshape(1 << tree.depth, tree.max_leaf_size, q.shape[1])
     return fill_records(q, _real_rows(tree))
 
@@ -293,12 +292,13 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_SYNTHETIC,))
     )
-    f = HbsFactorization.zeros(tree, k)  # its stacks are replaced unwritten
+    f = HbsFactorization.zeros(tree, k)
     for level in range(1, tree.depth + 1):
         mask = record_mask(tree, k, level)
         u, v, d = record_views(fill_records(rng.standard_normal(np.count_nonzero(mask)), mask), k)
         u, v = np.linalg.qr(u)[0], np.linalg.qr(v)[0]
         visible = u @ (u.transpose(0, 2, 1) @ d @ v) @ v.transpose(0, 2, 1)
-        f.U[level], f.V[level], f.D[level] = u, v, np.subtract(d, visible, out=visible)
+        f.U[level][...], f.V[level][...] = u, v
+        np.subtract(d, visible, out=f.D[level])
     f.root_disc[...] = rng.standard_normal((2 * k, 2 * k))
     return f.validate()
