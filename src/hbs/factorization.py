@@ -226,8 +226,8 @@ def apply_transpose(f: HbsFactorization, q: np.ndarray) -> np.ndarray:
 
 
 def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Expand the factorization into an explicit dense matrix (test oracle;
-    refuses dimensions above `max_n` to protect the linear-memory contract)."""
+    """Expand the factorization level by level into an explicit dense matrix
+    (test oracle; refuses n above `max_n` to keep the linear-memory contract)."""
     if f.n > max_n:
         raise ResourceLimitError(f"refusing to densify a {f.n} x {f.n} matrix (cap {max_n})")
     core = f.root_disc
