@@ -70,6 +70,16 @@ class TestApply:
             apply(f, np.ones(n))
         assert counter.madds <= 16 * r * r * n
 
+    @pytest.mark.parametrize("n", [96, 101])  # uniform and uneven leaves
+    @pytest.mark.parametrize("c", [1, 64])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_madds_are_columns_times_stored_floats(self, n, c, transpose):
+        f = random_hbs(build_tree(n, 12), 4, seed=8)
+        q = np.random.default_rng(3).standard_normal((n, c))
+        with count_madds() as counter:
+            apply_matrix(f, q, transpose=transpose)
+        assert counter.madds == c * storage(f).total_floats
+
 
 class TestApplyTranspose:
     def test_self_adjoint_case(self):
