@@ -12,11 +12,12 @@ product per level and step, in O(rank^2 * n) multiply-adds.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ResourceLimitError
-from .flops import add_madds, matmul_madds
+from .flops import add_madds
 from .linalg import STREAM_SYNTHETIC
 from .tree import ClusterTree
 
@@ -28,6 +29,13 @@ def node_sizes(tree: ClusterTree, rank: int, level: int) -> tuple[int, ...]:
     """Block rows of each node of one level: the leaf sizes at the leaf
     level, 2*rank above it."""
     return tree.leaf_sizes if level == tree.depth else (2 * rank,) * (1 << level)
+
+
+def stored_floats(tree: ClusterTree, rank: int) -> int:
+    """Real floats of a factorization on `tree` (leaf padding excluded): every
+    non-root node's two bases and discrepancy, and the 2*rank square root core."""
+    return 4 * rank * rank + sum(2 * rank * q + q * q for level in range(1, tree.depth + 1)
+                                 for q in node_sizes(tree, rank, level))
 
 
 class HbsFactorization:
@@ -56,7 +64,7 @@ class HbsFactorization:
         """An all-zero factorization, for writers to fill block by block."""
         U, V, D = [None], [None], [None]
         for level in range(1, tree.depth + 1):
-            rows = tree.max_leaf_size if level == tree.depth else 2 * rank
+            rows = max(node_sizes(tree, rank, level))
             U.append(np.zeros((1 << level, rows, rank)))
             V.append(np.zeros((1 << level, rows, rank)))
             D.append(np.zeros((1 << level, rows, rows)))
@@ -65,6 +73,11 @@ class HbsFactorization:
     @property
     def n(self) -> int:
         return self.tree.n
+
+    @cached_property
+    def total_floats(self) -> int:
+        """`stored_floats` of this factorization, counted on first use."""
+        return stored_floats(self.tree, self.rank)
 
     def _check_shapes(self):
         r, depth = self.rank, self.tree.depth
@@ -78,7 +91,7 @@ class HbsFactorization:
                     f"need block stacks for levels 0..{depth}, got {len(stacks)} entries"
                 )
         for level in range(1, depth + 1):
-            rows = self.tree.max_leaf_size if level == depth else 2 * r
+            rows = max(node_sizes(self.tree, r, level))
             for stack, shape, kind in (
                 (self.U[level], (1 << level, rows, r), "column bases"),
                 (self.V[level], (1 << level, rows, r), "row bases"),
@@ -169,14 +182,15 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
 
     The upward pass projects each node's slice onto its row basis, the root
     core couples the two halves, and the downward pass expands through
-    column bases while discrepancy blocks re-inject what the bases miss.
-    Each pass is one stacked product per level.
+    column bases while discrepancy blocks re-inject what the bases miss:
+    one stacked product per level and pass, one madd per stored float and column.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != f.n:
         raise DimensionError(f"expected a {f.n} x c matrix, got array of shape {q.shape}")
     tree, r, depth = f.tree, f.rank, f.tree.depth
     c = q.shape[1]
+    add_madds(c * f.total_floats)
     # Transposing swaps the roles of the two basis families and transposes
     # every discrepancy block.
     up_bases = f.U if transpose else f.V
@@ -186,20 +200,12 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     # the two children's projections one above the other.
     x = [None] * depth + [leaf_stack(tree, q)]
     for level in range(depth, 0, -1):
-        rows = tree.n if level == depth else (2 * r) << level
-        add_madds(matmul_madds(r, rows, c))
         qhat = up_bases[level].transpose(0, 2, 1) @ x[level]
         x[level - 1] = qhat.reshape(1 << (level - 1), 2 * r, c)
 
     root_core = f.root_disc.T if transpose else f.root_disc
-    add_madds(matmul_madds(2 * r, 2 * r, c))
     y = root_core @ x[0][0]
     for level in range(1, depth + 1):
-        if level == depth:
-            rows, squares = tree.n, sum(size * size for size in tree.leaf_sizes)
-        else:
-            rows, squares = (2 * r) << level, (4 * r * r) << level
-        add_madds(matmul_madds(rows, r, c) + c * squares)
         disc = f.D[level].transpose(0, 2, 1) if transpose else f.D[level]
         y = down_bases[level] @ y.reshape(1 << level, r, c) + disc @ x[level]
     if tree.min_leaf_size == tree.max_leaf_size:
@@ -242,34 +248,15 @@ def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LevelStorage:
-    level: int
-    basis_floats: int
-    disc_floats: int
-
-
-@dataclass(frozen=True)
 class StorageReport:
     total_floats: int
     floats_per_dof: float
-    levels: list[LevelStorage]
 
 
 def storage(f: HbsFactorization) -> StorageReport:
-    """Exact float counts of every stored block (leaf padding excluded),
-    per level and in total."""
-    levels = [LevelStorage(level=0, basis_floats=0, disc_floats=f.root_disc.size)]
-    for level in range(1, f.tree.depth + 1):
-        sizes = node_sizes(f.tree, f.rank, level)
-        levels.append(
-            LevelStorage(
-                level=level,
-                basis_floats=2 * f.rank * sum(sizes),
-                disc_floats=sum(size * size for size in sizes),
-            )
-        )
-    total = sum(lv.basis_floats + lv.disc_floats for lv in levels)
-    return StorageReport(total_floats=total, floats_per_dof=total / f.n, levels=levels)
+    """Exact count of the stored floats (leaf padding excluded), in total
+    and per degree of freedom."""
+    return StorageReport(total_floats=f.total_floats, floats_per_dof=f.total_floats / f.n)
 
 
 def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:

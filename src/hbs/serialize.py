@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .factorization import HbsFactorization, node_sizes, record_mask, record_views
+from .factorization import HbsFactorization, node_sizes, record_mask, record_views, stored_floats
 from .tree import build_tree
 
 MAGIC = b"HBSF"
@@ -75,8 +75,7 @@ def load_factorization(path) -> HbsFactorization:
             f"n={n}, leaf threshold {leaf_threshold}"
         )
     levels = range(1, depth + 1)
-    sizes = [q for level in levels for q in node_sizes(tree, rank, level)]
-    expected = np.array(sizes)
+    expected = np.array([q for level in levels for q in node_sizes(tree, rank, level)])
     raw, offset = _take(buffer, offset, 4 * expected.size, "node dimensions")
     rows = np.frombuffer(raw, dtype="<u4")
     mismatch = np.flatnonzero(rows != expected)
@@ -87,7 +86,7 @@ def load_factorization(path) -> HbsFactorization:
         )
 
     # Check the size of the block section before allocating anything.
-    nbytes = 8 * (sum(2 * rank * q + q * q for q in sizes) + 4 * rank * rank)
+    nbytes = 8 * stored_floats(tree, rank)
     if len(buffer) - offset < nbytes:
         raise FormatError(
             f"truncated file: blocks need {nbytes} bytes, {len(buffer) - offset} remain"

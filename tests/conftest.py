@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hbs
+from hbs.factorization import node_sizes
 
 
 @pytest.fixture
@@ -20,5 +21,5 @@ def child_env():
 def node_blocks(f, level, j):
     """Views of (column basis, row basis, discrepancy) of node j of a level
     of a factorization, leaf blocks cut to the leaf's size."""
-    rows = f.tree.leaf_sizes[j] if level == f.tree.depth else 2 * f.rank
+    rows = node_sizes(f.tree, f.rank, level)[j]
     return f.U[level][j, :rows], f.V[level][j, :rows], f.D[level][j, :rows, :rows]
