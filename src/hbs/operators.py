@@ -227,22 +227,11 @@ def grid_problem(width: int, height: int = 51) -> GridProblem:
         raise DimensionError(f"grid width must be at least 8, got {width}")
     if height < 3 or height % 2 == 0:
         raise DimensionError(f"grid height must be odd and at least 3, got {height}")
-    total = width * height
-    idx = np.arange(total).reshape(height, width)
-    row_idx = [np.arange(total)]
-    col_idx = [np.arange(total)]
-    data = [4.0 * np.ones(total)]
-    for shift_r, shift_c in ((0, 1), (1, 0)):
-        src = idx[: height - shift_r, : width - shift_c].ravel()
-        dst = idx[shift_r:, shift_c:].ravel()
-        link = -np.ones(src.size)
-        row_idx += [src, dst]
-        col_idx += [dst, src]
-        data += [link, link]
-    stiffness = scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(row_idx), np.concatenate(col_idx))),
-        shape=(total, total),
-    )
+    def line(k):  # second difference on k nodes, Dirichlet ends
+        return scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+
+    stiffness = scipy.sparse.kronsum(line(width), line(height), format="csr")
+    idx = np.arange(width * height).reshape(height, width)
     mid = height // 2
     return GridProblem(
         stiffness=stiffness,
