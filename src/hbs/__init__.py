@@ -3,16 +3,6 @@ operators: probe an n x n operator and its transpose with O(rank) random
 vectors, rebuild a telescoping factorization level by level, then store,
 apply, serialize, and benchmark the compressed form."""
 
-import os
-
-# Cap BLAS threading before numpy loads anything, so one env var governs
-# all internal parallelism.
-_threads = os.environ.get("HBS_THREADS")
-if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-del os, _threads
-
 from .compress import (
     CompressionConfig,
     SampleSet,
