@@ -1,14 +1,23 @@
-"""The benchmark's per-layer tracer (perfbench/tracer.py) wraps library
-functions at the module attributes named in its WRAPPED table.  A name that
-no longer resolves is reported as missing there and its metrics vanish, so
-every name must resolve here."""
+"""The benchmark (perfbench/) reaches into the library by name.  Its per-layer
+tracer (perfbench/tracer.py) wraps library functions at the module
+attributes named in its WRAPPED table: a name that no longer resolves is
+reported as missing there and its metrics vanish.  The driver
+(perfbench/run.py) calls library functions and reads report fields: a name
+that no longer resolves crashes the run.  So every such name must resolve
+here."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import hbs
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+RUN = PERFBENCH / "run.py"
 
 
 def test_every_wrapped_name_resolves(monkeypatch):
@@ -24,3 +33,35 @@ def test_every_wrapped_name_resolves(monkeypatch):
             assert hasattr(owner, part), f"{module_name}.{attr} (span {span_name}) is gone"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr} is not callable"
+
+
+def test_every_benchmark_library_name_resolves():
+    # run.py reaches the library through `hbs.<name>`, names imported from hbs
+    # modules, modules bound with importlib.import_module, and the fields of
+    # the report `hbs.storage` returns.  Read as source, not imported: importing
+    # it would not touch these names, which it looks up inside functions.
+    nodes = list(ast.walk(ast.parse(RUN.read_text(), str(RUN))))
+    owners = {"hbs": ("hbs", set(dir(hbs)))}  # local name -> (what, names it has)
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            target, call = ast.unparse(node.targets[0]), node.value
+            if ast.unparse(call.func) == "importlib.import_module":
+                module = call.args[0].value
+                owners[target] = (module, set(dir(importlib.import_module(module))))
+            elif ast.unparse(call.func) == "hbs.storage":
+                fields = {field.name for field in dataclasses.fields(hbs.StorageReport)}
+                owners[target] = ("hbs.StorageReport", fields)
+    uses = []  # (what, name, names it has)
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hbs":
+            names = set(dir(importlib.import_module(node.module)))
+            uses += [(node.module, alias.name, names) for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in owners:
+                what, names = owners[node.value.id]
+                uses.append((what, node.attr, names))
+    read = {name for _, name, _ in uses}
+    assert {"storage", "build_oracle", "estimate_rel_err", "apply_matrix", "count_madds",
+            "total_floats", "floats_per_dof"} <= read, f"scan of {RUN.name} found only {read}"
+    for what, name, names in uses:
+        assert name in names, f"{RUN.name} reads {what}.{name}, which is gone"
