@@ -1,10 +1,13 @@
 """Tests for the measurement harness."""
 
+import numpy as np
 import pytest
 
-from hbs.bench import CSV_HEADER, build_oracle, run_once, sweep
-from hbs.compress import CompressionConfig
+from hbs import factorization
+from hbs.bench import CSV_HEADER, build_oracle, estimate_rel_err, run_once, sweep
+from hbs.compress import CompressionConfig, compress_operator
 from hbs.errors import ConfigurationError
+from hbs.linalg import STREAM_POWER, gaussian_matrix
 
 
 class TestRunOnce:
@@ -99,3 +102,48 @@ class TestSchurRecord:
         record, _ = run_once("schur", 80, config)
         assert record.rel_err <= 1e-10
         assert record.matvecs_a == record.matvecs_at == record.s
+
+
+def reference_rel_err(oracle, f, iters, seed):
+    """The power iteration one vector at a time: every product is a single
+    column, every handle maps a length-n vector to a length-n vector."""
+    a = lambda q: oracle.apply_batch(q[:, None])[:, 0]
+    a_t = lambda q: oracle.apply_transpose_batch(q[:, None])[:, 0]
+    e = lambda q: a(q) - factorization.apply(f, q)
+    e_t = lambda q: a_t(q) - factorization.apply_transpose(f, q)
+    x0 = gaussian_matrix(oracle.n, 1, seed, STREAM_POWER)[:, 0]
+
+    def gram_norm(op, op_t):
+        x = x0 / np.linalg.norm(x0)
+        estimate = 0.0
+        for _ in range(iters):
+            y = op_t(op(x))
+            gain = np.linalg.norm(y)
+            if gain == 0.0:
+                return 0.0
+            estimate = np.sqrt(gain)
+            x = y / gain
+        return estimate
+
+    return gram_norm(e, e_t) / gram_norm(a, a_t)
+
+
+class TestEstimateRelErr:
+    @pytest.mark.parametrize(
+        "problem, n, rank, leaf, iters",
+        [
+            ("synthetic", 256, 8, 16, 20),  # uniform leaves
+            ("synthetic", 1001, 8, 16, 20),  # uneven leaves
+            ("bie-dl", 480, 30, 60, 7),  # dense oracle
+        ],
+    )
+    def test_matches_per_vector_reference(self, problem, n, rank, leaf, iters):
+        config = CompressionConfig(rank=rank, leaf_threshold=leaf, seed=3)
+        oracle = build_oracle(problem, n, config)
+        f = compress_operator(oracle, config)
+        before = oracle.matvec_count
+        rel_err = estimate_rel_err(oracle, f, iters=iters, seed=5)
+        after = oracle.matvec_count
+        assert (after[0] - before[0], after[1] - before[1]) == (2 * iters, 2 * iters)
+        assert rel_err == reference_rel_err(oracle, f, iters, seed=5)
+        assert 0.0 < rel_err < 1e-6
