@@ -78,12 +78,13 @@ def build_oracle(problem: str, n: int, config: CompressionConfig) -> MatVecOracl
 
 def estimate_rel_err(oracle, f, iters=20, seed=0):
     """Power-method estimate of the compression error relative to the
-    operator norm, using only matvecs of both representations."""
+    operator norm, using only batched products of both representations."""
     return power_method_relnorm(
-        lambda x: oracle.apply_vector(x) - factorization.apply(f, x),
-        lambda x: oracle.apply_transpose_vector(x) - factorization.apply_transpose(f, x),
-        oracle.apply_vector,
-        oracle.apply_transpose_vector,
+        lambda x: oracle.apply_batch(x) - factorization.apply_matrix(f, x),
+        lambda x: oracle.apply_transpose_batch(x)
+        - factorization.apply_matrix(f, x, transpose=True),
+        oracle.apply_batch,
+        oracle.apply_transpose_batch,
         oracle.n,
         iters=iters,
         seed=seed,

@@ -2,10 +2,10 @@
 
 Subcommands: `compress` (one run, optionally saving the factorization),
 `sweep` (a size sweep written as CSV or JSON lines), and `verify`
-(recompute the error estimate for a saved factorization against a freshly
-built oracle).  Exit codes: 0 success, 2 configuration error, non-finite
-oracle output, or a missing, malformed or unwritable file, 3 ill-conditioned
-probe matrix.
+(recompute the error estimate for a saved factorization against an oracle
+rebuilt at the file's size, rank and leaf size).  Exit codes: 0 success,
+2 configuration error, non-finite oracle output, or a missing, malformed or
+unwritable file, 3 ill-conditioned probe matrix.
 """
 
 import argparse
@@ -80,10 +80,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="re-estimate rel_err for a saved factorization")
     p_verify.add_argument("--load", required=True)
     p_verify.add_argument("--problem", required=True, choices=PROBLEMS)
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--rank", type=int, default=None, help="only needed by synthetic")
-    p_verify.add_argument("--leaf", type=int, default=None, help="only needed by synthetic")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0, help="the seed the file was built with")
     p_verify.add_argument("--power-iters", type=int, default=20)
     return parser
 
@@ -123,14 +120,8 @@ def _cmd_verify(args):
         f = load_factorization(args.load).validate()
     except ValueError as exc:  # a block failed validation
         raise FormatError(f"{args.load}: {exc}") from exc
-    if f.n != args.n:
-        raise ConfigurationError(f"file holds an n={f.n} factorization, requested n={args.n}")
-    config = CompressionConfig(
-        rank=args.rank if args.rank is not None else f.rank,
-        leaf_threshold=args.leaf if args.leaf is not None else f.tree.leaf_threshold,
-        seed=args.seed,
-    )
-    oracle = build_oracle(args.problem, args.n, config)
+    config = CompressionConfig(rank=f.rank, leaf_threshold=f.tree.leaf_threshold, seed=args.seed)
+    oracle = build_oracle(args.problem, f.n, config)
     rel_err = estimate_rel_err(oracle, f, iters=args.power_iters, seed=args.seed)
     print(f"rel_err: {rel_err:.6e}")
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, ResourceLimitError
 from .flops import add_madds
-from .linalg import STREAM_SYNTHETIC
+from .linalg import STREAM_SYNTHETIC, seeded_rng
 from .tree import ClusterTree
 
 DENSE_CAP_DEFAULT = 8192
@@ -276,9 +276,7 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
         raise DimensionError(
             f"block rank {k} exceeds the smallest leaf size {tree.min_leaf_size}"
         )
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_SYNTHETIC,))
-    )
+    rng = seeded_rng(seed, STREAM_SYNTHETIC)
     f = HbsFactorization.zeros(tree, k)
     for level in range(1, tree.depth + 1):
         mask = record_mask(tree, k, level)

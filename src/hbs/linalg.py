@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DimensionError, IllConditionedProbeError, NonFiniteError
+from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from .flops import add_madds, matmul_madds, qr_madds, solve_madds, svdvals_madds
 
 # Named substreams of a single user seed, so one seed reproduces a full run.
@@ -25,6 +25,13 @@ STREAM_SYNTHETIC = 3
 _ILL_CONDITIONING_TOL = 1e-10
 
 
+def seeded_rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of named substream `stream` of a user seed."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
 def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
     """Draw an n x s matrix of iid standard normals.
 
@@ -33,8 +40,7 @@ def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
     """
     if n < 1 or s < 1:
         raise DimensionError(f"gaussian_matrix needs positive dimensions, got {n} x {s}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    return rng.standard_normal((n, s))
+    return seeded_rng(seed, stream).standard_normal((n, s))
 
 
 def col(b: np.ndarray, k: int) -> np.ndarray:
@@ -106,8 +112,8 @@ def lstsq_right(b: np.ndarray, m) -> np.ndarray:
 
 
 def _gram_norm_estimate(op, op_t, x0, iters):
-    """Power iteration on the Gram operator x <- op_t(op(x)); returns a
-    lower-bound estimate of the largest singular value of op."""
+    """Power iteration on the Gram operator x <- op_t(op(x)) over an n x 1
+    block; returns a lower-bound estimate of the largest singular value of op."""
     x = x0 / np.linalg.norm(x0)
     estimate = 0.0
     for _ in range(iters):
@@ -121,22 +127,18 @@ def _gram_norm_estimate(op, op_t, x0, iters):
 
 
 def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=20, seed=0):
-    """Estimate ||E|| / ||A|| from matvec handles only.
+    """Estimate ||E|| / ||A|| from batched-product handles only.
 
-    Both norms are estimated by `iters` power iterations on the respective
-    Gram operators, started from the same random vector, so each estimate is
-    a lower bound on its true norm (up to roundoff) and E == A reports
-    exactly 1.  One iteration costs one apply of the operator and one of its
-    transpose.
+    Each handle maps an n x c array to an n x c array; the iteration runs
+    on one n x 1 block.  Both norms are estimated by `iters` power
+    iterations on the respective Gram operators, started from the same
+    random block, so each estimate is a lower bound on its true norm (up to
+    roundoff) and E == A reports exactly 1.  One iteration costs one apply
+    of the operator and one of its transpose.
     """
     if iters < 1:
         raise DimensionError("power method needs at least one iteration")
-    stream = STREAM_POWER
-    x0 = gaussian_matrix(n, 1, seed, stream)[:, 0]
-    while not np.linalg.norm(x0) > 0.0:
-        # Probability-zero start-vector collision: move to the next stream.
-        stream += 1
-        x0 = gaussian_matrix(n, 1, seed, stream)[:, 0]
+    x0 = gaussian_matrix(n, 1, seed, STREAM_POWER)
     e_norm = _gram_norm_estimate(op_e, op_et, x0, iters)
     a_norm = _gram_norm_estimate(op_a, op_at, x0, iters)
     if a_norm == 0.0:

@@ -55,12 +55,6 @@ class MatVecOracle:
         """Product of the transposed operator with the columns of x."""
         return self._run(self._apply_t_fn, x, "transpose")
 
-    def apply_vector(self, q: np.ndarray) -> np.ndarray:
-        return self.apply_batch(np.asarray(q)[:, None])[:, 0]
-
-    def apply_transpose_vector(self, q: np.ndarray) -> np.ndarray:
-        return self.apply_transpose_batch(np.asarray(q)[:, None])[:, 0]
-
     @property
     def matvec_count(self) -> tuple[int, int]:
         """(columns pushed through the operator, through its transpose)."""

@@ -106,32 +106,45 @@ class TestVerifyCommand:
         ]
         assert cli.main(["compress", *base, "--save", str(path)]) == 0
         capsys.readouterr()
-        code = cli.main(["verify", "--load", str(path), *base])
+        code = cli.main(["verify", "--load", str(path), "--problem", "synthetic", "--seed", "2"])
         assert code == 0
         out = capsys.readouterr().out
         rel_err = float(out.split("rel_err:")[1])
         assert rel_err <= 1e-9
 
-    def test_verify_size_mismatch(self, tmp_path, capsys):
+    def test_size_rank_and_leaf_come_from_the_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in ("--load", "--problem", "--seed", "--power-iters"))
+        assert not any(flag in out for flag in ("--n ", "--rank", "--leaf"))
+
+
+class TestNegativeSeed:
+    # A negative seed is a configuration error: exit code 2 with a one-line
+    # message, not a traceback.
+    CONFIG = ["--problem", "synthetic", "--rank", "6", "--leaf", "12"]
+
+    def _fails(self, argv, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "configuration error" in err and "seed" in err
+
+    def test_compress(self, capsys):
+        self._fails(["compress", *self.CONFIG, "--n", "128", "--seed", "-1"], capsys)
+
+    def test_sweep(self, tmp_path, capsys):
+        argv = ["sweep", *self.CONFIG, "--n-list", "128", "--seed", "-1"]
+        self._fails([*argv, "--out", str(tmp_path / "sweep.csv")], capsys)
+
+    def test_verify(self, tmp_path, capsys):
         path = tmp_path / "f.hbsf"
-        assert (
-            cli.main(
-                [
-                    "compress",
-                    "--problem", "synthetic",
-                    "--n", "128",
-                    "--rank", "6",
-                    "--leaf", "12",
-                    "--save", str(path),
-                ]
-            )
-            == 0
-        )
-        code = cli.main(
-            ["verify", "--load", str(path), "--problem", "synthetic", "--n", "256"]
-        )
-        assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert cli.main(["compress", *self.CONFIG, "--n", "128", "--save", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--load", str(path), "--problem", "synthetic", "--seed", "-1"]
+        self._fails(argv, capsys)
 
 
 class TestVerifyBadFile:
@@ -146,7 +159,7 @@ class TestVerifyBadFile:
         return path
 
     def _verify_fails(self, path, capsys):
-        code = cli.main(["verify", "--load", str(path), *self.ARGS])
+        code = cli.main(["verify", "--load", str(path), "--problem", "synthetic"])
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from conftest import node_blocks
 
-from hbs.errors import DimensionError, ResourceLimitError
+from hbs.errors import ConfigurationError, DimensionError, ResourceLimitError
 from hbs.factorization import (
     HbsFactorization,
     apply,
@@ -253,6 +253,10 @@ class TestRandomHbs:
     def test_rejects_oversized_rank(self):
         with pytest.raises(DimensionError):
             random_hbs(build_tree(40, 5), 6, seed=20)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            random_hbs(build_tree(40, 5), 2, seed=-1)
 
 
 class TestValidation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hbs.errors import DimensionError, IllConditionedProbeError, NonFiniteError
+from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from hbs.flops import count_madds
 from hbs.linalg import col, gaussian_matrix, lstsq_right, nullspace, power_method_relnorm
 
@@ -35,6 +35,10 @@ class TestGaussianMatrix:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             gaussian_matrix(0, 3, seed=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            gaussian_matrix(3, 2, seed=-1)
 
 
 class TestCol:
@@ -208,7 +212,7 @@ class TestPowerMethodRelnorm:
         n = 8
         d = np.ones(n)
         d[0] = 3.0
-        op = lambda x: d * x
+        op = lambda x: d[:, None] * x
         ident = lambda x: x
         est = power_method_relnorm(op, op, ident, ident, n, iters=50, seed=0)
         assert 2.999 <= est <= 3.001

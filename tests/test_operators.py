@@ -188,10 +188,10 @@ class TestNtdOracle:
         oracle = ntd_oracle(n, default_contour())
         rng = np.random.default_rng(6)
         for _ in range(5):
-            q = rng.standard_normal(n)
-            w = rng.standard_normal(n)
-            lhs = w @ oracle.apply_vector(q)
-            rhs = oracle.apply_transpose_vector(w) @ q
+            q = rng.standard_normal((n, 1))
+            w = rng.standard_normal((n, 1))
+            lhs = (w.T @ oracle.apply_batch(q)).item()
+            rhs = (oracle.apply_transpose_batch(w).T @ q).item()
             assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
 
     def test_matches_dense_product(self):
@@ -235,9 +235,9 @@ class TestGridProblem:
 class TestSchurOracle:
     def test_symmetry(self):
         oracle = schur_oracle(32, 11)
-        q = np.random.default_rng(8).standard_normal(32)
-        fwd = oracle.apply_vector(q)
-        bwd = oracle.apply_transpose_vector(q)
+        q = np.random.default_rng(8).standard_normal((32, 1))
+        fwd = oracle.apply_batch(q)
+        bwd = oracle.apply_transpose_batch(q)
         assert np.linalg.norm(fwd - bwd) <= 1e-12 * np.linalg.norm(fwd)
 
     def test_positive_definite(self):
@@ -248,8 +248,8 @@ class TestSchurOracle:
         assert eigs.min() > 0.0
         rng = np.random.default_rng(9)
         for _ in range(20):
-            q = rng.standard_normal(width)
-            assert q @ oracle.apply_vector(q) > 0.0
+            q = rng.standard_normal((width, 1))
+            assert (q.T @ oracle.apply_batch(q)).item() > 0.0
 
     def test_matches_dense_elimination(self):
         width, height = 8, 5
