@@ -121,6 +121,7 @@ def _cmd_verify(args):
     except ValueError as exc:  # a block failed validation
         raise FormatError(f"{args.load}: {exc}") from exc
     config = CompressionConfig(rank=f.rank, leaf_threshold=f.tree.leaf_threshold, seed=args.seed)
+    config.validate_for(f.tree)  # reject a bad seed before oracle assembly
     oracle = build_oracle(args.problem, f.n, config)
     rel_err = estimate_rel_err(oracle, f, iters=args.power_iters, seed=args.seed)
     print(f"rel_err: {rel_err:.6e}")

@@ -38,6 +38,8 @@ class CompressionConfig:
         count to use."""
         if self.rank < 1:
             raise ConfigurationError(f"rank must be positive, got {self.rank}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if tree.min_leaf_size < self.rank:
             raise ConfigurationError(
                 f"smallest leaf has {tree.min_leaf_size} rows < rank {self.rank}; "
@@ -131,15 +133,15 @@ def compute_discrepancy(u, v, ns: SampleSet, omega_qr, psi_qr) -> np.ndarray:
     the transposed ones; both reduce to least-squares solves against the
     node's test rows, passed as factors from `compress_node_bases` or as matrices.
     """
-    add_madds(ns.nodes * 6 * matmul_madds(u.shape[-1], ns.rows, ns.rows))
+    r, rows = u.shape[-1], ns.rows
+    add_madds(ns.nodes * (3 * matmul_madds(r, rows, rows) + 2 * matmul_madds(r, r, rows)))
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    # z side first, cut to r rows, and in place: two level-sized arrays at most.
-    z_solve = lstsq_right(ns.z, psi_qr)
-    z_solve -= v @ (vt @ z_solve)
-    right = ut @ z_solve.swapaxes(-1, -2)
-    del z_solve
+    # D = L + U (R - U^T L) with L = Y Omega^+ and R = U^T (Z Psi^+)^T (I - V V^T):
+    # besides the two solves, r-row products and the one full-size product U (R - U^T L).
+    right = ut @ lstsq_right(ns.z, psi_qr).swapaxes(-1, -2)
+    right -= (right @ v) @ vt
     left = lstsq_right(ns.y, omega_qr)
-    left -= u @ (ut @ left)
+    right -= ut @ left
     left += u @ right
     return left
 

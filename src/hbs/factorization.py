@@ -207,7 +207,8 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     y = root_core @ x[0][0]
     for level in range(1, depth + 1):
         disc = f.D[level].transpose(0, 2, 1) if transpose else f.D[level]
-        y = down_bases[level] @ y.reshape(1 << level, r, c) + disc @ x[level]
+        y = down_bases[level] @ y.reshape(1 << level, r, c)
+        y += disc @ x[level]
     if tree.min_leaf_size == tree.max_leaf_size:
         return y.reshape(tree.n, c)  # a view; a mask gather slows one-vector applies
     return y[_real_rows(tree)]

@@ -54,6 +54,6 @@ def svdvals_madds(n):
     return 4 * n**3 // 3
 
 
-def solve_madds(n, k):
-    """LU of an n x n matrix, then k right-hand sides through both factors."""
-    return n**3 // 3 + k * n * n
+def trtri_madds(n):
+    """Inverse of an n x n triangular matrix."""
+    return n**3 // 6

@@ -50,6 +50,15 @@ class TestRunOnce:
         with pytest.raises(ConfigurationError):
             build_oracle("laplace", 64, CompressionConfig(rank=4, leaf_threshold=8))
 
+    def test_negative_seed_rejected_before_oracle_assembly(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the oracle was built for a negative seed")
+
+        monkeypatch.setattr("hbs.bench.build_oracle", no_oracle)
+        config = CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=-1)
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative, got -1"):
+            run_once("bie-dl", 4800, config)
+
 
 class TestSweep:
     def test_csv_schema_and_flatness(self, tmp_path):

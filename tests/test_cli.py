@@ -146,6 +146,18 @@ class TestNegativeSeed:
         argv = ["verify", "--load", str(path), "--problem", "synthetic", "--seed", "-1"]
         self._fails(argv, capsys)
 
+    def test_verify_rejects_before_oracle_assembly(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "f.hbsf"
+        assert cli.main(["compress", *self.CONFIG, "--n", "128", "--save", str(path)]) == 0
+        capsys.readouterr()
+
+        def no_oracle(*args):
+            raise AssertionError("the oracle was built for a negative seed")
+
+        monkeypatch.setattr(cli, "build_oracle", no_oracle)
+        argv = ["verify", "--load", str(path), "--problem", "bie-dl", "--seed", "-1"]
+        self._fails(argv, capsys)
+
 
 class TestVerifyBadFile:
     # A missing or malformed --load file is bad outside input: exit code 2

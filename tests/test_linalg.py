@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.flops import count_madds
+from hbs.flops import count_madds, svdvals_madds
 from hbs.linalg import col, gaussian_matrix, lstsq_right, nullspace, power_method_relnorm
 
 # Frozen regression values for the committed generator (seed 7, stream 0).
@@ -159,6 +159,42 @@ class TestLstsqRight:
         with pytest.raises(DimensionError):
             lstsq_right(np.ones((3, 2)), np.ones((4, 2)))
 
+    def test_non_finite_probe_raises_typed_error(self):
+        m = gaussian_matrix(3, 9, seed=4)
+        m[1, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            lstsq_right(np.ones((2, 9)), m)
+
+    def test_screen_defers_to_exact_ratio(self):
+        # half the singular values at 1, half at 2e-10: the Frobenius bound
+        # 1 / (||R1||_F ||R1^-1||_F) = 6.25e-12 cannot certify R1, but the
+        # exact ratio 2e-10 clears the 1e-10 tolerance, so the solve runs
+        rng = np.random.default_rng(60)
+        rows, cols, ratio = 64, 96, 2e-10
+        sig = np.r_[np.ones(rows // 2), np.full(rows // 2, ratio)]
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+        m = (u * sig) @ v.T
+        b = rng.standard_normal((5, cols))
+        with count_madds() as doubtful:
+            x = lstsq_right(b, m)
+        with count_madds() as certified:
+            lstsq_right(b, gaussian_matrix(rows, cols, seed=61))
+        # only the entry the screen cannot certify pays for an SVD
+        assert doubtful.madds - certified.madds == svdvals_madds(rows)
+        ref = np.linalg.lstsq(m.T, b.T, rcond=None)[0].T
+        # agreement within the roundoff bound scaled by the condition number
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(x - ref) <= 100 * eps / ratio * np.linalg.norm(ref)
+
+    def test_repeat_solves_are_identical(self):
+        rng = np.random.default_rng(62)
+        qr = nullspace(rng.standard_normal((4, 6, 15)), 5)
+        before = [a.copy() for a in qr]
+        rhs = rng.standard_normal((4, 5, 15))
+        assert np.array_equal(lstsq_right(rhs, qr), lstsq_right(rhs, qr))
+        assert all(np.array_equal(a, b) for a, b in zip(qr, before))
+
 
 class TestStacks:
     """A (b, rows, cols) stack is handled as b separate calls."""
@@ -189,6 +225,18 @@ class TestStacks:
         with pytest.raises(IllConditionedProbeError) as excinfo:
             lstsq_right(rng.standard_normal((5, 4, 9)), m)
         assert excinfo.value.index == 3
+
+    def test_exactly_singular_entry_is_reported(self):
+        # a zero row gives R1 an exact zero on its diagonal, which the
+        # triangular inverse reports instead of inverting
+        rng = np.random.default_rng(52)
+        m = rng.standard_normal((5, 3, 9))
+        m[2, 1] = 0.0
+        qr = nullspace(m, 2)
+        assert np.all(np.isinf(qr.r1_inv[2]))
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            lstsq_right(rng.standard_normal((5, 4, 9)), qr)
+        assert excinfo.value.index == 2
 
     def test_rank_deficient_factor_is_reported(self):
         # the nullspace step factors without judging rank; the solve checks
