@@ -108,6 +108,8 @@ def run_once(
     returns (record, factorization)."""
     tree = build_tree(n, config.leaf_threshold)
     s = config.validate_for(tree)  # reject bad configs before oracle assembly
+    if power_iters < 1:
+        raise ConfigurationError(f"power iterations must be positive, got {power_iters}")
     oracle = build_oracle(problem, n, config)
     samples = draw_samples(oracle, s, config.seed)
     t_sample = oracle.seconds_in_products

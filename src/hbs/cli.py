@@ -122,6 +122,8 @@ def _cmd_verify(args):
         raise FormatError(f"{args.load}: {exc}") from exc
     config = CompressionConfig(rank=f.rank, leaf_threshold=f.tree.leaf_threshold, seed=args.seed)
     config.validate_for(f.tree)  # reject a bad seed before oracle assembly
+    if args.power_iters < 1:
+        raise ConfigurationError(f"power iterations must be positive, got {args.power_iters}")
     oracle = build_oracle(args.problem, f.n, config)
     rel_err = estimate_rel_err(oracle, f, iters=args.power_iters, seed=args.seed)
     print(f"rel_err: {rel_err:.6e}")

@@ -5,13 +5,13 @@ against Gaussian test matrices of s columns each.  A level sweep over the
 block stacks that apply uses then recovers each level's bases by projecting
 its probes onto the nullspace of the nodes' own test rows (so the samples
 see only off-diagonal contributions), its discrepancy blocks from
-least-squares solves against the test rows that reuse the same QR factors,
-and lifts its samples into the parent level's test/sample stacks until the
-root core is solved directly.
+least-squares solves against the test rows that reuse the same QR factor,
+one probe side at a time, and lifts its samples into the parent level's
+test/sample stacks until the root core is solved directly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,10 +80,6 @@ class SampleSet:
         return self.map(lambda a: a[index])
 
     @property
-    def nodes(self) -> int:
-        return math.prod(self.omega.shape[:-2])
-
-    @property
     def rows(self) -> int:
         return self.omega.shape[-2]
 
@@ -102,6 +98,16 @@ def draw_samples(oracle: MatVecOracle, s: int, seed: int) -> SampleSet:
     return SampleSet(omega=omega, psi=psi, y=y, z=z)
 
 
+def _probe_side(test: np.ndarray, samples: np.ndarray, r: int):
+    """One probe side of a node stack: factor the test rows once, take an
+    r-column basis of the samples projected onto their nullspace, and solve
+    samples @ test^+ from the same factor, which is dropped on return."""
+    *stack, rows, probes = samples.shape
+    add_madds(math.prod(stack) * matmul_madds(rows, probes, r))
+    factor = nullspace(test, r)
+    return col(samples @ factor.null, r), lstsq_right(samples, factor)
+
+
 def compress_node_bases(ns: SampleSet, r: int):
     """Recover the bases of a node (or a stack of same-size nodes).
 
@@ -109,38 +115,29 @@ def compress_node_bases(ns: SampleSet, r: int):
     contribution, so y @ P is a randomized sample of the node's
     off-diagonal row block; orthonormalizing it gives the column basis.
     The row basis comes from the transposed-side quadruple the same way.
-    Returns (u, v, omega_qr, psi_qr): the bases and the factors of omega
-    and psi, whose `null` fields are the nullspace bases P and Q used.
+    Each side's factor also gives its least-squares solve, so this returns
+    (u, v, y omega^+, z psi^+) and keeps only one side's factor at a time.
     """
-    if ns.probes - ns.rows < r:
-        raise ConfigurationError(
-            f"probe count {ns.probes} leaves nullity {ns.probes - ns.rows} < rank {r} "
-            f"for a {ns.rows}-row node; increase the probe count s"
-        )
-    add_madds(2 * ns.nodes * matmul_madds(ns.rows, ns.probes, r))
-    omega_qr = nullspace(ns.omega, r)
-    u = col(ns.y @ omega_qr.null, r)
-    psi_qr = nullspace(ns.psi, r)
-    v = col(ns.z @ psi_qr.null, r)
-    return u, v, omega_qr, psi_qr
+    u, left = _probe_side(ns.omega, ns.y, r)
+    v, right = _probe_side(ns.psi, ns.z, r)
+    return u, v, left, right
 
 
-def compute_discrepancy(u, v, ns: SampleSet, omega_qr, psi_qr) -> np.ndarray:
-    """Recover the discrepancy block of a node (or a stack of same-size nodes).
+def compute_discrepancy(u, v, left, right) -> np.ndarray:
+    """Recover the discrepancy block of a node (or a stack of same-size nodes)
+    from its bases and the two solves L = Y Omega^+ and Z Psi^+, products only.
 
     The part of the diagonal block outside range(u) is read off the
     forward samples, the part inside range(u) but outside range(v)^T off
-    the transposed ones; both reduce to least-squares solves against the
-    node's test rows, passed as factors from `compress_node_bases` or as matrices.
+    the transposed ones: D = L + U (R - U^T L) with R = U^T (Z Psi^+)^T (I - V V^T),
+    formed in L's storage from r-row products and one full-size product.
     """
-    r, rows = u.shape[-1], ns.rows
-    add_madds(ns.nodes * (3 * matmul_madds(r, rows, rows) + 2 * matmul_madds(r, r, rows)))
+    rows, r = u.shape[-2:]
+    per_node = 3 * matmul_madds(r, rows, rows) + 2 * matmul_madds(r, r, rows)
+    add_madds(math.prod(u.shape[:-2]) * per_node)
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    # D = L + U (R - U^T L) with L = Y Omega^+ and R = U^T (Z Psi^+)^T (I - V V^T):
-    # besides the two solves, r-row products and the one full-size product U (R - U^T L).
-    right = ut @ lstsq_right(ns.z, psi_qr).swapaxes(-1, -2)
+    right = ut @ right.swapaxes(-1, -2)
     right -= (right @ v) @ vt
-    left = lstsq_right(ns.y, omega_qr)
     right -= ut @ left
     left += u @ right
     return left
@@ -184,6 +181,7 @@ def compress_from_samples(
     """
     if samples.rows != tree.n:
         raise DimensionError(f"samples are for n={samples.rows}, tree has n={tree.n}")
+    replace(config, probes=samples.probes).validate_for(tree)
     r = config.rank
     f = HbsFactorization.zeros(tree, r)
     stack = samples.map(lambda a: leaf_stack(tree, a))
@@ -195,14 +193,13 @@ def compress_from_samples(
             members = slice(None) if classes.size == 1 else np.flatnonzero(sizes == size)
             ns = stack[members, :size]
             try:
-                u, v, omega_qr, psi_qr = compress_node_bases(ns, r)
-                d = compute_discrepancy(u, v, ns, omega_qr, psi_qr)
+                u, v, left, right = compress_node_bases(ns, r)
             except IllConditionedProbeError as exc:
                 raise _at_node(exc, level, np.arange(sizes.size)[members][exc.index]) from exc
-            del omega_qr, psi_qr  # level-sized, so freed before the lift
             f.U[level][members, :size] = u
             f.V[level][members, :size] = v
-            f.D[level][members, :size, :size] = d
+            f.D[level][members, :size, :size] = compute_discrepancy(u, v, left, right)
+            del left, right  # level-sized, so freed before the lift
         stack = lift_to_parent(f.U[level], f.V[level], f.D[level], stack, sizes)
     try:
         f.root_disc[...] = compute_root(stack[0])

@@ -52,18 +52,10 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
     rows, cols = b.shape[-2:]
     if k > min(rows, cols):
         raise DimensionError(f"cannot extract {k} basis columns from a {rows} x {cols} matrix")
+    if not np.isfinite(b).all():
+        raise NonFiniteError(f"{rows} x {cols} sample matrix holds non-finite entries")
     add_madds(math.prod(b.shape[:-2]) * qr_madds(rows, cols))
-    q, _ = np.linalg.qr(b)
-    q = q[..., :k]
-    if k == cols:
-        # Full-width request must reproduce the input's column space exactly.
-        residual = np.linalg.norm(b - q @ (q.swapaxes(-1, -2) @ b), axis=(-2, -1))
-        if not np.all(residual <= 1e-8 * np.linalg.norm(b, axis=(-2, -1))):
-            raise NonFiniteError(
-                f"QR basis of a {rows} x {cols} matrix does not reproduce it; "
-                "the matrix holds non-finite or overflowing entries"
-            )
-    return q
+    return np.linalg.qr(b)[0][..., :k]
 
 
 # One complete QR of a wide probe matrix M (or stack) transposed, M^T = [Q1 Q2] [R1; 0]:
@@ -73,8 +65,15 @@ ProbeQR = namedtuple("ProbeQR", "null q1 r1_inv r1_norm")
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, with no temporary stack."""
-    return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    """Frobenius norm of each matrix of a stack, with no temporary stack; an
+    entry whose plain sum of squares overflows is rescaled by a power of two."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.einsum("...ij,...ij->...", a, a)).reshape(-1)
+    entries = a.reshape(norm.size, *a.shape[-2:])
+    for j in np.flatnonzero(~np.isfinite(norm)):
+        scale = np.ldexp(1.0, np.frexp(np.abs(entries[j]).max())[1])
+        norm[j] = scale * np.linalg.norm(entries[j] / scale)
+    return norm.reshape(a.shape[:-2])
 
 
 def nullspace(m: np.ndarray, k: int) -> ProbeQR:

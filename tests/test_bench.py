@@ -59,6 +59,15 @@ class TestRunOnce:
         with pytest.raises(ConfigurationError, match="seed must be nonnegative, got -1"):
             run_once("bie-dl", 4800, config)
 
+    def test_zero_power_iters_rejected_before_oracle_assembly(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the oracle was built for zero power iterations")
+
+        monkeypatch.setattr("hbs.bench.build_oracle", no_oracle)
+        config = CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=0)
+        with pytest.raises(ConfigurationError, match="power iterations must be positive, got 0"):
+            run_once("bie-dl", 4800, config, power_iters=0)
+
 
 class TestSweep:
     def test_csv_schema_and_flatness(self, tmp_path):

@@ -159,6 +159,25 @@ class TestNegativeSeed:
         self._fails(argv, capsys)
 
 
+class TestPowerIters:
+    CONFIG = ["--problem", "synthetic", "--rank", "6", "--leaf", "12"]
+
+    def test_verify_rejects_zero_before_oracle_assembly(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "f.hbsf"
+        assert cli.main(["compress", *self.CONFIG, "--n", "128", "--save", str(path)]) == 0
+        capsys.readouterr()
+
+        def no_oracle(*args):
+            raise AssertionError("the oracle was built for zero power iterations")
+
+        monkeypatch.setattr(cli, "build_oracle", no_oracle)
+        argv = ["verify", "--load", str(path), "--problem", "bie-dl", "--power-iters", "0"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "configuration error: power iterations must be positive, got 0" in err
+
+
 class TestVerifyBadFile:
     # A missing or malformed --load file is bad outside input: exit code 2
     # with a one-line message, not a traceback.

@@ -18,7 +18,7 @@ from hbs.compress import (
 from hbs.errors import ConfigurationError, IllConditionedProbeError
 from hbs.factorization import random_hbs, to_dense
 from hbs.flops import count_madds
-from hbs.linalg import gaussian_matrix
+from hbs.linalg import gaussian_matrix, lstsq_right, nullspace
 from hbs.operators import dense_oracle
 from hbs.tree import build_tree
 
@@ -43,9 +43,8 @@ def compress_leaves(a, tree, r, s, seed):
     state = []
     for begin, end in leaf_ranges(tree):
         ns = samples[begin:end]
-        u, v, *factors = compress_node_bases(ns, r)
-        d = compute_discrepancy(u, v, ns, *factors)
-        state.append((u, v, d, ns))
+        u, v, *solves = compress_node_bases(ns, r)
+        state.append((u, v, compute_discrepancy(u, v, *solves), ns))
     return samples, state
 
 
@@ -125,8 +124,7 @@ class TestCompressNodeBases:
             y=gaussian_matrix(m, s, 5, 1),
             z=gaussian_matrix(m, s, 5, 2),
         )
-        _, _, omega_qr, _ = compress_node_bases(ns, r)
-        p = omega_qr.null
+        p = nullspace(ns.omega, r).null
         # nullspace vectors cannot touch the identity block
         np.testing.assert_allclose(p[:m], 0.0, atol=1e-14)
 
@@ -156,21 +154,18 @@ class TestCompressNodeBases:
         )
         samples = sample_dense(a, s, seed=8)
         ns = samples[begin:end]
-        u, _, omega_qr, _ = compress_node_bases(ns, r)
-        p = omega_qr.null
+        u, *_ = compress_node_bases(ns, r)
+        p = nullspace(ns.omega, r).null
         # the projected sample is exactly zero, the basis merely orthonormal
         np.testing.assert_allclose(ns.y @ p, 0.0, atol=1e-12)
         assert np.linalg.norm(u.T @ u - np.eye(r)) <= 1e-12
 
     def test_nullity_shortfall_is_config_error(self):
-        ns = SampleSet(
-            omega=gaussian_matrix(6, 8, 9, 0),
-            psi=gaussian_matrix(6, 8, 9, 1),
-            y=gaussian_matrix(6, 8, 9, 2),
-            z=gaussian_matrix(6, 8, 9, 3),
-        )
-        with pytest.raises(ConfigurationError):
-            compress_node_bases(ns, 3)
+        # 6-row leaves with 8 probes leave nullity 2 < rank 3
+        tree = build_tree(12, 6)
+        samples = sample_dense(np.eye(12), 8, seed=9)
+        with pytest.raises(ConfigurationError, match="probe count 8"):
+            compress_from_samples(samples, tree, CompressionConfig(rank=3, leaf_threshold=6))
 
 
 class TestComputeDiscrepancy:
@@ -181,8 +176,8 @@ class TestComputeDiscrepancy:
         samples = sample_dense(a, s, seed=11)
         for begin, end in leaf_ranges(tree)[:3]:
             ns = samples[begin:end]
-            u, v, *factors = compress_node_bases(ns, r)
-            d = compute_discrepancy(u, v, ns, *factors)
+            u, v, *solves = compress_node_bases(ns, r)
+            d = compute_discrepancy(u, v, *solves)
             att = a[begin:end, begin:end]
             expected = att - u @ (u.T @ att @ v) @ v.T
             assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(att)
@@ -193,8 +188,8 @@ class TestComputeDiscrepancy:
         att = np.random.default_rng(12).standard_normal((m, m))
         omega_t = gaussian_matrix(m, s, 13, 0)
         psi_t = gaussian_matrix(m, s, 13, 1)
-        ns = SampleSet(omega=omega_t, psi=psi_t, y=att @ omega_t, z=att.T @ psi_t)
-        d = compute_discrepancy(np.zeros((m, 0)), np.zeros((m, 0)), ns, omega_t, psi_t)
+        left, right = lstsq_right(att @ omega_t, omega_t), lstsq_right(att.T @ psi_t, psi_t)
+        d = compute_discrepancy(np.zeros((m, 0)), np.zeros((m, 0)), left, right)
         np.testing.assert_allclose(d, att, atol=1e-12)
 
     def test_identity_matrix_oracle(self):
@@ -204,8 +199,8 @@ class TestComputeDiscrepancy:
         v = np.linalg.qr(rng.standard_normal((m, r)))[0]
         omega_t = gaussian_matrix(m, s, 15, 0)
         psi_t = gaussian_matrix(m, s, 15, 1)
-        ns = SampleSet(omega=omega_t, psi=psi_t, y=omega_t, z=psi_t)
-        d = compute_discrepancy(u, v, ns, omega_t, psi_t)
+        left, right = lstsq_right(omega_t, omega_t), lstsq_right(psi_t, psi_t)
+        d = compute_discrepancy(u, v, left, right)
         expected = np.eye(m) - u @ u.T @ v @ v.T
         np.testing.assert_allclose(d, expected, atol=1e-11)
 
@@ -458,9 +453,9 @@ class TestCompress:
         f.validate()  # leaf blocks written by size class keep zero padding
 
     def test_one_qr_per_probe_stack(self, monkeypatch):
-        # the discrepancy step reuses the basis step's factors, so each omega
-        # and psi stack (one per level and leaf size) and the root omega get
-        # one complete QR; with Gaussian probes the rank screen certifies every
+        # each probe side's solve reuses the factor of its basis, so each
+        # omega and psi stack (one per level and leaf size) and the root omega
+        # get one complete QR; with Gaussian probes the rank screen certifies every
         # R1, so no SVD runs at all
         n, k, r, m = 333, 4, 8, 24
         tree = build_tree(n, m)
@@ -498,6 +493,21 @@ class TestCompress:
             CompressionConfig(rank=2, leaf_threshold=8, probes=9).validate_for(tree)
         with pytest.raises(ConfigurationError):
             CompressionConfig(rank=0, leaf_threshold=8).validate_for(tree)
+
+    def test_rank_above_smallest_leaf_is_config_error(self):
+        # the sweep checks its config on entry, before any level is factored
+        tree = build_tree(64, 16)
+        assert tree.min_leaf_size == 16
+        samples = sample_dense(np.eye(64), 60, seed=49)
+        with pytest.raises(ConfigurationError, match="smallest leaf has 16 rows < rank 20"):
+            compress_from_samples(samples, tree, CompressionConfig(rank=20, leaf_threshold=16))
+
+    def test_negative_seed_is_config_error(self):
+        tree = build_tree(64, 16)
+        samples = sample_dense(np.eye(64), 24, seed=50)
+        config = CompressionConfig(rank=4, leaf_threshold=16, seed=-1)
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            compress_from_samples(samples, tree, config)
 
 
 def test_package_compress_attribute_is_the_module():

@@ -85,6 +85,11 @@ class TestCol:
         with pytest.raises(NonFiniteError):
             col(b, 2)
 
+    def test_huge_finite_input_is_orthonormalized(self):
+        # entries near 1e301: the input is finite, so no norm of it is taken
+        q = col(2.0**1000 * gaussian_matrix(20, 5, seed=3), 5)
+        assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
+
 
 class TestNullspace:
     def test_coordinate_nullspace(self):
@@ -160,10 +165,19 @@ class TestLstsqRight:
             lstsq_right(np.ones((3, 2)), np.ones((4, 2)))
 
     def test_non_finite_probe_raises_typed_error(self):
-        m = gaussian_matrix(3, 9, seed=4)
-        m[1, 5] = np.nan
-        with pytest.raises(NonFiniteError):
-            lstsq_right(np.ones((2, 9)), m)
+        for bad in (np.nan, np.inf):
+            m = gaussian_matrix(3, 9, seed=4)
+            m[1, 5] = bad
+            with pytest.raises(NonFiniteError):
+                lstsq_right(np.ones((2, 9)), m)
+
+    def test_scaled_probe_scales_solve(self):
+        # ||R1||_F of a probe near 1e180 overflows a plain sum of squares;
+        # a power-of-two scale of M scales M^+ exactly
+        m = gaussian_matrix(3, 9, seed=5)
+        b = gaussian_matrix(2, 9, seed=6)
+        for e in (600, -600):
+            assert np.array_equal(lstsq_right(b, 2.0**e * m), 2.0**-e * lstsq_right(b, m))
 
     def test_screen_defers_to_exact_ratio(self):
         # half the singular values at 1, half at 2e-10: the Frobenius bound

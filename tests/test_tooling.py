@@ -4,7 +4,8 @@ attributes named in its WRAPPED table: a name that no longer resolves is
 reported as missing there and its metrics vanish.  The driver
 (perfbench/run.py) calls library functions and reads report fields: a name
 that no longer resolves crashes the run.  So every such name must resolve
-here."""
+here.  The library also holds no `assert` statement, which `python -O` would
+strip."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ from pathlib import Path
 import hbs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "hbs"
 TRACER = PERFBENCH / "tracer.py"
 RUN = PERFBENCH / "run.py"
 
@@ -65,3 +67,15 @@ def test_every_benchmark_library_name_resolves():
             "total_floats", "floats_per_dof"} <= read, f"scan of {RUN.name} found only {read}"
     for what, name, names in uses:
         assert name in names, f"{RUN.name} reads {what}.{name}, which is gone"
+
+
+def test_no_assert_in_library():
+    # `python -O` strips assert statements, so no check in the library may be one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(SRC.glob("**/*.py"))) > 5
+    assert not found, f"assert statements in src/hbs: {found}"
