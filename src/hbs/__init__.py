@@ -14,6 +14,7 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     FormatError,
+    HbsError,
     IllConditionedProbeError,
     NonFiniteError,
     ResourceLimitError,
@@ -40,6 +41,7 @@ __all__ = [
     "ConfigurationError",
     "DimensionError",
     "FormatError",
+    "HbsError",
     "HbsFactorization",
     "IllConditionedProbeError",
     "MatVecOracle",

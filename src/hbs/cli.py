@@ -3,9 +3,11 @@
 Subcommands: `compress` (one run, optionally saving the factorization),
 `sweep` (a size sweep written as CSV or JSON lines), and `verify`
 (recompute the error estimate for a saved factorization against an oracle
-rebuilt at the file's size, rank and leaf size).  Exit codes: 0 success,
-2 configuration error, non-finite oracle output, or a missing, malformed or
-unwritable file, 3 ill-conditioned probe matrix.
+rebuilt at the file's size, rank and leaf size).  A failure prints one
+line, the error's `kind` and message, and exits with its `exit_code` (see
+`hbs.errors`): 2 for a configuration error, non-finite data, a malformed
+file or a resource limit, 3 for an ill-conditioned probe.  An unreadable or
+unwritable file and running out of memory also exit 2.  Success exits 0.
 """
 
 import argparse
@@ -14,17 +16,8 @@ import sys
 
 from .bench import PROBLEMS, build_oracle, estimate_rel_err, run_once, sweep
 from .compress import CompressionConfig
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    FormatError,
-    IllConditionedProbeError,
-    NonFiniteError,
-)
+from .errors import ConfigurationError, FormatError, HbsError, ResourceLimitError
 from .serialize import load_factorization, save_factorization
-
-EXIT_CONFIG = 2
-EXIT_ILL_CONDITIONED = 3
 
 
 def _add_config_arguments(parser):
@@ -118,7 +111,7 @@ def _cmd_sweep(args):
 def _cmd_verify(args):
     try:
         f = load_factorization(args.load).validate()
-    except ValueError as exc:  # a block failed validation
+    except FormatError as exc:  # name the file the malformed blocks came from
         raise FormatError(f"{args.load}: {exc}") from exc
     config = CompressionConfig(rank=f.rank, leaf_threshold=f.tree.leaf_threshold, seed=args.seed)
     config.validate_for(f.tree)  # reject a bad seed before oracle assembly
@@ -137,18 +130,15 @@ def main(argv=None) -> int:
     ]
     try:
         return handler(args)
-    except (ConfigurationError, DimensionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonFiniteError as exc:
-        print(f"non-finite data: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FormatError, OSError) as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IllConditionedProbeError as exc:
-        print(f"ill-conditioned probe: {exc}", file=sys.stderr)
-        return EXIT_ILL_CONDITIONED
+    except HbsError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # a missing, unreadable or unwritable file
+        print(f"{FormatError.kind}: {exc}", file=sys.stderr)
+        return FormatError.exit_code
+    except MemoryError as exc:
+        print(f"{ResourceLimitError.kind}: out of memory ({exc})", file=sys.stderr)
+        return ResourceLimitError.exit_code
 
 
 def entry():

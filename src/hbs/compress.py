@@ -34,8 +34,12 @@ class CompressionConfig:
     seed: int = 0
 
     def validate_for(self, tree: ClusterTree) -> int:
-        """Check feasibility against a concrete tree; returns the probe
-        count to use."""
+        """Check feasibility against a concrete tree, which must be built
+        for this leaf threshold; returns the probe count to use."""
+        if tree.leaf_threshold != self.leaf_threshold:
+            raise ConfigurationError(
+                f"tree has leaf threshold {tree.leaf_threshold}, config has {self.leaf_threshold}"
+            )
         if self.rank < 1:
             raise ConfigurationError(f"rank must be positive, got {self.rank}")
         if self.seed < 0:

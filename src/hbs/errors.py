@@ -1,23 +1,45 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the library raises is an `HbsError`.  Its class attributes
+`kind` and `exit_code` are the label the command line prints in front of the
+message and the status it exits with.  Each type also keeps a builtin base,
+so callers that catch `ValueError` or `RuntimeError` still catch it."""
 
 
-class DimensionError(ValueError):
+class HbsError(Exception):
+    """Base of every library error; `kind` labels it and `exit_code` is the
+    command line's exit status for it."""
+
+    kind = "error"
+    exit_code = 2
+
+
+class DimensionError(HbsError, ValueError):
     """Operands have incompatible or out-of-range dimensions."""
 
+    kind = "configuration error"
 
-class NonFiniteError(ValueError):
+
+class NonFiniteError(HbsError, ValueError):
     """An oracle product or a matrix handed to the compressor holds NaN or
-    infinite entries."""
+    infinite entries, or a norm the result divides by is zero."""
+
+    kind = "non-finite data"
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(HbsError, ValueError):
     """A requested configuration cannot produce a valid compression run."""
 
+    kind = "configuration error"
 
-class IllConditionedProbeError(RuntimeError):
+
+class IllConditionedProbeError(HbsError, RuntimeError):
     """A probe matrix lost full row rank, so its pseudoinverse action is
     unreliable.  The standard remedy is to increase the probe count.
     `index` is the failing matrix's position in a stacked solve."""
+
+    kind = "ill-conditioned probe"
+    exit_code = 3
 
     def __init__(self, message, node_id=None, level=None, index=None):
         super().__init__(message)
@@ -26,10 +48,14 @@ class IllConditionedProbeError(RuntimeError):
         self.index = index
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(HbsError, RuntimeError):
     """An operation would exceed a hard resource cap (e.g. densifying a
     matrix larger than the configured limit)."""
 
+    kind = "resource limit"
 
-class FormatError(RuntimeError):
-    """A serialized factorization file is malformed or truncated."""
+
+class FormatError(HbsError, ValueError):
+    """A factorization, read from a file or held in memory, is malformed."""
+
+    kind = "file error"

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ResourceLimitError
+from .errors import DimensionError, FormatError, ResourceLimitError
 from .flops import add_madds
 from .linalg import STREAM_SYNTHETIC, seeded_rng
 from .tree import ClusterTree
@@ -104,7 +104,7 @@ class HbsFactorization:
 
     def validate(self):
         """Check orthonormality of every stored basis, finiteness of all
-        blocks, and zero leaf padding; raises ValueError on violation."""
+        blocks, and zero leaf padding; raises FormatError on violation."""
         eye = np.eye(self.rank)
         for level in range(1, self.tree.depth + 1):
             first = (1 << level) - 1  # level-order id of the level's first node
@@ -112,23 +112,23 @@ class HbsFactorization:
                 defect = np.linalg.norm(stack.transpose(0, 2, 1) @ stack - eye, axis=(1, 2))
                 bad = np.flatnonzero(~(defect <= _ORTHONORMALITY_TOL))
                 if bad.size:
-                    raise ValueError(
+                    raise FormatError(
                         f"node {first + bad[0]}: {kind} orthonormality defect "
                         f"{defect[bad[0]]:.3e}"
                     )
             bad = np.flatnonzero(~np.isfinite(self.D[level]).all(axis=(1, 2)))
             if bad.size:
-                raise ValueError(
+                raise FormatError(
                     f"node {first + bad[0]}: discrepancy block has non-finite entries"
                 )
         if not np.isfinite(self.root_disc).all():
-            raise ValueError("root core has non-finite entries")
+            raise FormatError("root core has non-finite entries")
         depth = self.tree.depth
         pad = ~_real_rows(self.tree)
         leaf_d = self.D[depth]
         for stack in (self.U[depth], self.V[depth], leaf_d, leaf_d.transpose(0, 2, 1)):
             if stack[pad].any():
-                raise ValueError("leaf blocks have nonzero entries outside the leaf size")
+                raise FormatError("leaf blocks have nonzero entries outside the leaf size")
         return self
 
 

@@ -158,17 +158,16 @@ def lstsq_right(b: np.ndarray, m) -> np.ndarray:
 
 def _gram_norm_estimate(op, op_t, x0, iters):
     """Power iteration on the Gram operator x <- op_t(op(x)) over an n x 1
-    block; returns a lower-bound estimate of the largest singular value of op."""
+    block; returns a lower-bound estimate of the largest singular value of op.
+    Needs iters >= 1."""
     x = x0 / np.linalg.norm(x0)
-    estimate = 0.0
     for _ in range(iters):
         y = op_t(op(x))
         gain = np.linalg.norm(y)
         if gain == 0.0:
             return 0.0
-        estimate = np.sqrt(gain)
         x = y / gain
-    return estimate
+    return np.sqrt(gain)
 
 
 def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=20, seed=0):
@@ -182,10 +181,10 @@ def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=20, seed=0):
     of the operator and one of its transpose.
     """
     if iters < 1:
-        raise DimensionError("power method needs at least one iteration")
+        raise ConfigurationError(f"power iterations must be positive, got {iters}")
     x0 = gaussian_matrix(n, 1, seed, STREAM_POWER)
     e_norm = _gram_norm_estimate(op_e, op_et, x0, iters)
     a_norm = _gram_norm_estimate(op_a, op_at, x0, iters)
     if a_norm == 0.0:
-        raise ValueError("reference operator norm estimate is zero; relative error undefined")
+        raise NonFiniteError("reference operator norm estimate is zero; relative error undefined")
     return e_norm / a_norm

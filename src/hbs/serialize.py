@@ -86,13 +86,10 @@ def load_factorization(path) -> HbsFactorization:
         )
 
     # Check the size of the block section before allocating anything.
-    nbytes = 8 * stored_floats(tree, rank)
-    if len(buffer) - offset < nbytes:
-        raise FormatError(
-            f"truncated file: blocks need {nbytes} bytes, {len(buffer) - offset} remain"
-        )
-    if len(buffer) - offset > nbytes:
-        raise FormatError(f"{len(buffer) - offset - nbytes} trailing bytes after root core")
+    nbytes, remain = 8 * stored_floats(tree, rank), len(buffer) - offset
+    if remain != nbytes:
+        what = "truncated file" if remain < nbytes else "trailing bytes"
+        raise FormatError(f"{what}: blocks need {nbytes} bytes, {remain} remain")
 
     # Node by node, unlike save: its many small block views keep glibc from trimming
     # the heap the next large apply reuses (read level-wise, apply_block_s ran 36% slower).

@@ -50,8 +50,6 @@ def build_tree(n: int, leaf_threshold: int) -> ClusterTree:
     Every branch is split all the way to depth L, so leaf sizes differ by at
     most one; compression sweeps can then proceed level by level.
     """
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 indices to partition, got {n}")
     if leaf_threshold < 2:
         raise ConfigurationError(f"leaf threshold must be at least 2, got {leaf_threshold}")
     if leaf_threshold >= n:

@@ -6,8 +6,10 @@ import pytest
 from hbs import factorization
 from hbs.bench import CSV_HEADER, build_oracle, estimate_rel_err, run_once, sweep
 from hbs.compress import CompressionConfig, compress_operator
-from hbs.errors import ConfigurationError
+from hbs.errors import ConfigurationError, NonFiniteError
 from hbs.linalg import STREAM_POWER, gaussian_matrix
+from hbs.operators import dense_oracle
+from hbs.tree import build_tree
 
 
 class TestRunOnce:
@@ -165,3 +167,9 @@ class TestEstimateRelErr:
         assert (after[0] - before[0], after[1] - before[1]) == (2 * iters, 2 * iters)
         assert rel_err == reference_rel_err(oracle, f, iters, seed=5)
         assert 0.0 < rel_err < 1e-6
+
+    def test_zero_operator_is_non_finite_error(self):
+        # ||E|| / ||A|| with ||A|| = 0 has no value
+        f = factorization.random_hbs(build_tree(64, 8), 2, seed=6)
+        with pytest.raises(NonFiniteError, match="norm estimate is zero"):
+            estimate_rel_err(dense_oracle(np.zeros((64, 64))), f)

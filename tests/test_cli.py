@@ -7,7 +7,14 @@ import sys
 import pytest
 
 from hbs import cli
-from hbs.errors import IllConditionedProbeError
+from hbs.errors import (
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    IllConditionedProbeError,
+    NonFiniteError,
+    ResourceLimitError,
+)
 from hbs.serialize import load_factorization, save_factorization
 
 
@@ -59,6 +66,44 @@ class TestCompressCommand:
         )
         assert code == 3
         assert "ill-conditioned" in capsys.readouterr().err
+
+
+class TestFailureContract:
+    # Every library error maps to its type's exit status and one stderr line
+    # that starts with its type's label.
+    ARGV = ["compress", "--problem", "synthetic", "--n", "128", "--rank", "6", "--leaf", "12"]
+
+    def _fails(self, error, monkeypatch, capsys):
+        def explode(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_once", explode)
+        code = cli.main(self.ARGV)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        return code, lines[0]
+
+    @pytest.mark.parametrize(
+        "error_type, kind, exit_code",
+        [
+            (ConfigurationError, "configuration error", 2),
+            (DimensionError, "configuration error", 2),
+            (NonFiniteError, "non-finite data", 2),
+            (FormatError, "file error", 2),
+            (IllConditionedProbeError, "ill-conditioned probe", 3),
+            (ResourceLimitError, "resource limit", 2),
+        ],
+    )
+    def test_library_error(self, error_type, kind, exit_code, monkeypatch, capsys):
+        code, line = self._fails(error_type("boom"), monkeypatch, capsys)
+        assert code == exit_code
+        assert line == f"{kind}: boom"
+        assert (error_type.kind, error_type.exit_code) == (kind, exit_code)
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        code, line = self._fails(MemoryError("Unable to allocate 29.1 TiB"), monkeypatch, capsys)
+        assert code == 2
+        assert line == "resource limit: out of memory (Unable to allocate 29.1 TiB)"
 
 
 class TestSweepCommand:

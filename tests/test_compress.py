@@ -502,6 +502,13 @@ class TestCompress:
         with pytest.raises(ConfigurationError, match="smallest leaf has 16 rows < rank 20"):
             compress_from_samples(samples, tree, CompressionConfig(rank=20, leaf_threshold=16))
 
+    def test_tree_for_another_leaf_threshold_is_config_error(self):
+        tree = build_tree(256, 16)
+        samples = sample_dense(np.eye(256), 24, seed=51)
+        config = CompressionConfig(rank=6, leaf_threshold=64)
+        with pytest.raises(ConfigurationError, match="leaf threshold 16, config has 64"):
+            compress_from_samples(samples, tree, config)
+
     def test_negative_seed_is_config_error(self):
         tree = build_tree(64, 16)
         samples = sample_dense(np.eye(64), 24, seed=50)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from conftest import node_blocks
 
-from hbs.errors import ConfigurationError, DimensionError, ResourceLimitError
+from hbs.errors import ConfigurationError, DimensionError, FormatError, ResourceLimitError
 from hbs.factorization import (
     HbsFactorization,
     apply,
@@ -264,6 +264,12 @@ class TestValidation:
         f = random_hbs(build_tree(32, 4), 2, seed=26)
         f.U[1][0] = 2.0 * f.U[1][0]
         with pytest.raises(ValueError):
+            f.validate()
+
+    def test_malformed_blocks_are_format_error(self):
+        f = random_hbs(build_tree(32, 4), 2, seed=26)
+        f.V[2][1] = 2.0 * f.V[2][1]
+        with pytest.raises(FormatError, match="node 4: row basis orthonormality"):
             f.validate()
 
     def test_rejects_non_finite_disc(self):

@@ -299,6 +299,7 @@ class TestPowerMethodRelnorm:
             assert est <= true * (1.0 + 1e-12)
 
     def test_rejects_zero_iterations(self):
+        # the same error and text as `run_once` and `hbs verify` give
         ident = lambda x: x
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="power iterations must be positive, got 0"):
             power_method_relnorm(ident, ident, ident, ident, 4, iters=0)

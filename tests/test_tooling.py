@@ -5,7 +5,7 @@ reported as missing there and its metrics vanish.  The driver
 (perfbench/run.py) calls library functions and reads report fields: a name
 that no longer resolves crashes the run.  So every such name must resolve
 here.  The library also holds no `assert` statement, which `python -O` would
-strip."""
+strip, and raises no error type that is not an `HbsError`."""
 
 import ast
 import dataclasses
@@ -79,3 +79,24 @@ def test_no_assert_in_library():
     ]
     assert len(list(SRC.glob("**/*.py"))) > 5
     assert not found, f"assert statements in src/hbs: {found}"
+
+
+def test_library_raises_only_hbs_errors():
+    # Every failure reaches the caller as an HbsError, which carries the CLI's
+    # label and exit status.  Two raises are exempt: argparse's own error type
+    # in the --n-list parser, and re-raising the error `_at_node` builds.
+    exempt = {("cli.py", "argparse.ArgumentTypeError"), ("compress.py", "_at_node")}
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        module = importlib.import_module("hbs" if path.stem == "__init__" else f"hbs.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if (path.name, name) in exempt:
+                continue
+            raised = getattr(module, name, None) if isinstance(exc, ast.Name) else None
+            if not (isinstance(raised, type) and issubclass(raised, hbs.HbsError)):
+                found.append(f"{path.name}:{node.lineno} raises {name}")
+    assert not found, f"raises of a type that is not an HbsError: {found}"
