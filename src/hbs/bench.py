@@ -11,12 +11,13 @@ snapshotted, so every record shows exactly the probes compression used.
 import dataclasses
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import factorization
 from .compress import CompressionConfig, compress_from_samples, draw_samples
 from .errors import ConfigurationError
-from .linalg import gaussian_matrix, power_method_relnorm
+from .linalg import POWER_ITERS, STREAM_APPLY, check_power_iters, gaussian_matrix
+from .linalg import power_method_relnorm
 from .operators import (
     bie_oracle,
     default_contour,
@@ -28,7 +29,6 @@ from .oracle import MatVecOracle
 from .tree import build_tree
 
 PROBLEMS = ("synthetic", "bie-dl", "bie-ntd", "schur")
-CSV_HEADER = "problem,n,r,m,s,seed,t_sample,t_compress,t_apply,rel_err,floats_per_dof,matvecs_a,matvecs_at"
 
 SCHUR_GRID_HEIGHT = 51
 SYNTHETIC_OVERSAMPLING = 5  # synthetic block rank is config rank minus this
@@ -36,6 +36,9 @@ SYNTHETIC_OVERSAMPLING = 5  # synthetic block rank is config rank minus this
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One run's figures.  They are also the CSV columns, in field order:
+    floats as `.6e` unless a field's metadata names another format."""
+
     problem: str
     n: int
     r: int
@@ -46,19 +49,21 @@ class RunRecord:
     t_compress: float
     t_apply: float
     rel_err: float
-    floats_per_dof: float
+    floats_per_dof: float = field(metadata={"csv": ".6f"})
     matvecs_a: int
     matvecs_at: int
 
     def csv_row(self) -> str:
-        return (
-            f"{self.problem},{self.n},{self.r},{self.m},{self.s},{self.seed},"
-            f"{self.t_sample:.6e},{self.t_compress:.6e},{self.t_apply:.6e},"
-            f"{self.rel_err:.6e},{self.floats_per_dof:.6f},{self.matvecs_a},{self.matvecs_at}"
+        return ",".join(
+            format(getattr(self, f.name), f.metadata.get("csv", ".6e" if f.type is float else ""))
+            for f in dataclasses.fields(self)
         )
 
     def json_row(self) -> str:
         return json.dumps(dataclasses.asdict(self))
+
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
 
 
 def build_oracle(problem: str, n: int, config: CompressionConfig) -> MatVecOracle:
@@ -76,7 +81,7 @@ def build_oracle(problem: str, n: int, config: CompressionConfig) -> MatVecOracl
     raise ConfigurationError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
 
 
-def estimate_rel_err(oracle, f, iters=20, seed=0):
+def estimate_rel_err(oracle, f, iters=POWER_ITERS, seed=0):
     """Power-method estimate of the compression error relative to the
     operator norm, using only batched products of both representations."""
     return power_method_relnorm(
@@ -92,7 +97,7 @@ def estimate_rel_err(oracle, f, iters=20, seed=0):
 
 
 def _timed_apply(f, seed):
-    q = gaussian_matrix(f.n, 1, seed, stream=9)[:, 0]
+    q = gaussian_matrix(f.n, 1, seed, STREAM_APPLY)[:, 0]
     factorization.apply(f, q)  # warm up
     reps = 3
     start = time.perf_counter()
@@ -102,14 +107,13 @@ def _timed_apply(f, seed):
 
 
 def run_once(
-    problem: str, n: int, config: CompressionConfig, power_iters: int = 20
+    problem: str, n: int, config: CompressionConfig, power_iters: int = POWER_ITERS
 ) -> tuple[RunRecord, factorization.HbsFactorization]:
     """Compress one problem instance and measure the reported quantities;
     returns (record, factorization)."""
     tree = build_tree(n, config.leaf_threshold)
     s = config.validate_for(tree)  # reject bad configs before oracle assembly
-    if power_iters < 1:
-        raise ConfigurationError(f"power iterations must be positive, got {power_iters}")
+    check_power_iters(power_iters)
     oracle = build_oracle(problem, n, config)
     samples = draw_samples(oracle, s, config.seed)
     t_sample = oracle.seconds_in_products
@@ -135,7 +139,7 @@ def run_once(
     return record, f
 
 
-def sweep(problem, n_list, config, out_path, power_iters=20, as_json=False):
+def sweep(problem, n_list, config, out_path, power_iters=POWER_ITERS, as_json=False):
     """Run `run_once` over ascending sizes, flushing one output row per run
     so partial results survive a failed size."""
     if list(n_list) != sorted(n_list):

@@ -16,7 +16,8 @@ import sys
 
 from .bench import PROBLEMS, build_oracle, estimate_rel_err, run_once, sweep
 from .compress import CompressionConfig
-from .errors import ConfigurationError, FormatError, HbsError, ResourceLimitError
+from .errors import FormatError, HbsError, ResourceLimitError
+from .linalg import POWER_ITERS, check_power_iters
 from .serialize import load_factorization, save_factorization
 
 
@@ -32,7 +33,7 @@ def _add_config_arguments(parser):
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--power-iters", type=int, default=20, help="power-method iterations for rel_err"
+        "--power-iters", type=int, default=POWER_ITERS, help="power-method iterations for rel_err"
     )
 
 
@@ -74,7 +75,7 @@ def build_parser():
     p_verify.add_argument("--load", required=True)
     p_verify.add_argument("--problem", required=True, choices=PROBLEMS)
     p_verify.add_argument("--seed", type=int, default=0, help="the seed the file was built with")
-    p_verify.add_argument("--power-iters", type=int, default=20)
+    p_verify.add_argument("--power-iters", type=int, default=POWER_ITERS)
     return parser
 
 
@@ -115,8 +116,7 @@ def _cmd_verify(args):
         raise FormatError(f"{args.load}: {exc}") from exc
     config = CompressionConfig(rank=f.rank, leaf_threshold=f.tree.leaf_threshold, seed=args.seed)
     config.validate_for(f.tree)  # reject a bad seed before oracle assembly
-    if args.power_iters < 1:
-        raise ConfigurationError(f"power iterations must be positive, got {args.power_iters}")
+    check_power_iters(args.power_iters)
     oracle = build_oracle(args.problem, f.n, config)
     rel_err = estimate_rel_err(oracle, f, iters=args.power_iters, seed=args.seed)
     print(f"rel_err: {rel_err:.6e}")

@@ -11,12 +11,13 @@ test/sample stacks until the root core is solved directly.
 """
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, IllConditionedProbeError
-from .factorization import HbsFactorization, leaf_stack, node_sizes
+from .factorization import HbsFactorization, fill_records, node_sizes
 from .flops import add_madds, matmul_madds
 from .linalg import STREAM_OMEGA, STREAM_PSI, col, gaussian_matrix, lstsq_right, nullspace
 from .oracle import MatVecOracle
@@ -32,6 +33,14 @@ class CompressionConfig:
     leaf_threshold: int
     probes: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "probes" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigurationError(f"{field.name} must be an integer, got {value!r}")
 
     def validate_for(self, tree: ClusterTree) -> int:
         """Check feasibility against a concrete tree, which must be built
@@ -183,12 +192,18 @@ def compress_from_samples(
     post-sampling arithmetic; touches no oracle).  Each level is one stack
     per node size, on real rows only: padded rows make omega rank deficient.
     """
+    if samples.omega.ndim != 2:
+        raise DimensionError(f"samples must be n x s matrices, got shape {samples.omega.shape}")
     if samples.rows != tree.n:
         raise DimensionError(f"samples are for n={samples.rows}, tree has n={tree.n}")
+    if config.probes is not None and config.probes != samples.probes:
+        raise ConfigurationError(
+            f"config asks for {config.probes} probes, samples have {samples.probes} columns"
+        )
     replace(config, probes=samples.probes).validate_for(tree)
     r = config.rank
     f = HbsFactorization.zeros(tree, r)
-    stack = samples.map(lambda a: leaf_stack(tree, a))
+    stack = samples.map(lambda a: fill_records(a, tree.real_rows))
     for level in range(tree.depth, 0, -1):
         sizes = np.array(node_sizes(tree, r, level))
         classes = np.unique(sizes)

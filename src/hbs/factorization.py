@@ -31,6 +31,13 @@ def node_sizes(tree: ClusterTree, rank: int, level: int) -> tuple[int, ...]:
     return tree.leaf_sizes if level == tree.depth else (2 * rank,) * (1 << level)
 
 
+def stack_shapes(tree: ClusterTree, rank: int, level: int):
+    """Shapes of one level's column-basis, row-basis and discrepancy stacks,
+    every node's blocks zero-padded to the level's largest node."""
+    nodes, rows = 1 << level, max(node_sizes(tree, rank, level))
+    return (nodes, rows, rank), (nodes, rows, rank), (nodes, rows, rows)
+
+
 def stored_floats(tree: ClusterTree, rank: int) -> int:
     """Real floats of a factorization on `tree` (leaf padding excluded): every
     non-root node's two bases and discrepancy, and the 2*rank square root core."""
@@ -62,12 +69,8 @@ class HbsFactorization:
     @classmethod
     def zeros(cls, tree: ClusterTree, rank: int) -> "HbsFactorization":
         """An all-zero factorization, for writers to fill block by block."""
-        U, V, D = [None], [None], [None]
-        for level in range(1, tree.depth + 1):
-            rows = max(node_sizes(tree, rank, level))
-            U.append(np.zeros((1 << level, rows, rank)))
-            V.append(np.zeros((1 << level, rows, rank)))
-            D.append(np.zeros((1 << level, rows, rows)))
+        shapes = [stack_shapes(tree, rank, level) for level in range(1, tree.depth + 1)]
+        U, V, D = ([None] + [np.zeros(shape) for shape in kind] for kind in zip(*shapes))
         return cls(tree, rank, U, V, D, np.zeros((2 * rank, 2 * rank)))
 
     @property
@@ -90,16 +93,13 @@ class HbsFactorization:
                 raise DimensionError(
                     f"need block stacks for levels 0..{depth}, got {len(stacks)} entries"
                 )
+        kinds = ("column bases", "row bases", "discrepancies")
         for level in range(1, depth + 1):
-            rows = max(node_sizes(self.tree, r, level))
-            for stack, shape, kind in (
-                (self.U[level], (1 << level, rows, r), "column bases"),
-                (self.V[level], (1 << level, rows, r), "row bases"),
-                (self.D[level], (1 << level, rows, rows), "discrepancies"),
-            ):
-                if np.shape(stack) != shape:
+            shapes = stack_shapes(self.tree, r, level)
+            for stacks, shape, kind in zip((self.U, self.V, self.D), shapes, kinds):
+                if np.shape(stacks[level]) != shape:
                     raise DimensionError(
-                        f"level {level}: {kind} must be {shape}, got {np.shape(stack)}"
+                        f"level {level}: {kind} must be {shape}, got {np.shape(stacks[level])}"
                     )
 
     def validate(self):
@@ -124,18 +124,12 @@ class HbsFactorization:
         if not np.isfinite(self.root_disc).all():
             raise FormatError("root core has non-finite entries")
         depth = self.tree.depth
-        pad = ~_real_rows(self.tree)
+        pad = ~self.tree.real_rows
         leaf_d = self.D[depth]
         for stack in (self.U[depth], self.V[depth], leaf_d, leaf_d.transpose(0, 2, 1)):
             if stack[pad].any():
                 raise FormatError("leaf blocks have nonzero entries outside the leaf size")
         return self
-
-
-def _real_rows(tree: ClusterTree) -> np.ndarray:
-    """(2^depth, max leaf size) mask of the leaf-stack rows that hold data;
-    in row-major order its True entries are the indices 0..n-1."""
-    return np.arange(tree.max_leaf_size) < np.array(tree.leaf_sizes)[:, None]
 
 
 def record_views(records: np.ndarray, rank: int, column_major: bool = False):
@@ -151,7 +145,7 @@ def record_views(records: np.ndarray, rank: int, column_major: bool = False):
 def record_mask(tree: ClusterTree, rank: int, level: int, column_major: bool = False):
     """Mask of the real entries of a level's node records; in row-major
     order its True entries are the unpadded blocks' entries, node by node."""
-    real = _real_rows(tree) if level == tree.depth else np.ones((1 << level, 2 * rank), bool)
+    real = tree.real_rows if level == tree.depth else np.ones((1 << level, 2 * rank), bool)
     mask = np.empty((len(real), real.shape[1] * (2 * rank + real.shape[1])), dtype=bool)
     u, v, d = record_views(mask, rank, column_major)
     u[...] = v[...] = real[:, :, None]
@@ -166,15 +160,6 @@ def fill_records(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     records = np.zeros(mask.shape + data.shape[1:])
     records[mask] = data
     return records
-
-
-def leaf_stack(tree: ClusterTree, q: np.ndarray) -> np.ndarray:
-    """The rows of an n x c matrix as a (2^depth, max leaf size, c) stack of
-    leaf slices: a reshape view when leaves are uniform, a zero-padded copy
-    otherwise."""
-    if tree.min_leaf_size == tree.max_leaf_size:  # no mask to build
-        return q.reshape(1 << tree.depth, tree.max_leaf_size, q.shape[1])
-    return fill_records(q, _real_rows(tree))
 
 
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -198,7 +183,7 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
 
     # x[l] stacks the inputs of the level-l nodes: leaf slices of q, then
     # the two children's projections one above the other.
-    x = [None] * depth + [leaf_stack(tree, q)]
+    x = [None] * depth + [fill_records(q, tree.real_rows)]
     for level in range(depth, 0, -1):
         qhat = up_bases[level].transpose(0, 2, 1) @ x[level]
         x[level - 1] = qhat.reshape(1 << (level - 1), 2 * r, c)
@@ -211,7 +196,7 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
         y += disc @ x[level]
     if tree.min_leaf_size == tree.max_leaf_size:
         return y.reshape(tree.n, c)  # a view; a mask gather slows one-vector applies
-    return y[_real_rows(tree)]
+    return y[tree.real_rows]
 
 
 def _column(f: HbsFactorization, q) -> np.ndarray:
@@ -244,7 +229,7 @@ def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         core_t = (v @ left.T.reshape(nodes, r, nodes * rows)).reshape(nodes, rows, nodes, rows)
         core_t[np.arange(nodes), :, np.arange(nodes)] += d.transpose(0, 2, 1)
         core = core_t.reshape(nodes * rows, nodes * rows).T
-    real = _real_rows(f.tree).ravel()
+    real = f.tree.real_rows.ravel()
     return core[real][:, real]
 
 

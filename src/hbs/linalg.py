@@ -22,6 +22,10 @@ STREAM_OMEGA = 0
 STREAM_PSI = 1
 STREAM_POWER = 2
 STREAM_SYNTHETIC = 3
+STREAM_APPLY = 9
+
+# Power-method iterations behind every rel_err estimate unless a caller asks otherwise.
+POWER_ITERS = 20
 
 # sigma_min / sigma_max below which a probe matrix counts as rank deficient.
 _ILL_CONDITIONING_TOL = 1e-10
@@ -156,6 +160,12 @@ def lstsq_right(b: np.ndarray, m) -> np.ndarray:
     return (b @ qr.q1) @ qr.r1_inv.swapaxes(-1, -2)
 
 
+def check_power_iters(iters: int) -> None:
+    """Reject a power-iteration count below one."""
+    if iters < 1:
+        raise ConfigurationError(f"power iterations must be positive, got {iters}")
+
+
 def _gram_norm_estimate(op, op_t, x0, iters):
     """Power iteration on the Gram operator x <- op_t(op(x)) over an n x 1
     block; returns a lower-bound estimate of the largest singular value of op.
@@ -170,7 +180,7 @@ def _gram_norm_estimate(op, op_t, x0, iters):
     return np.sqrt(gain)
 
 
-def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=20, seed=0):
+def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=POWER_ITERS, seed=0):
     """Estimate ||E|| / ||A|| from batched-product handles only.
 
     Each handle maps an n x c array to an n x c array; the iteration runs
@@ -180,8 +190,7 @@ def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=20, seed=0):
     roundoff) and E == A reports exactly 1.  One iteration costs one apply
     of the operator and one of its transpose.
     """
-    if iters < 1:
-        raise ConfigurationError(f"power iterations must be positive, got {iters}")
+    check_power_iters(iters)
     x0 = gaussian_matrix(n, 1, seed, STREAM_POWER)
     e_norm = _gram_norm_estimate(op_e, op_et, x0, iters)
     a_norm = _gram_norm_estimate(op_a, op_at, x0, iters)

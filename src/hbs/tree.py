@@ -13,6 +13,8 @@ Nodes are implicit: node j of level l (0 <= j < 2^l, level order) owns
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ConfigurationError, DimensionError
 
 
@@ -41,6 +43,14 @@ class ClusterTree:
     @cached_property
     def max_leaf_size(self) -> int:
         return max(self.leaf_sizes)
+
+    @cached_property
+    def real_rows(self) -> np.ndarray:
+        """Read-only (2^depth, max leaf size) mask of the leaf-stack rows that
+        hold data; in row-major order its True entries are the indices 0..n-1."""
+        mask = np.arange(self.max_leaf_size) < np.array(self.leaf_sizes)[:, None]
+        mask.flags.writeable = False
+        return mask
 
 
 def build_tree(n: int, leaf_threshold: int) -> ClusterTree:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from hbs import factorization
-from hbs.bench import CSV_HEADER, build_oracle, estimate_rel_err, run_once, sweep
+from hbs.bench import CSV_HEADER, RunRecord, build_oracle, estimate_rel_err, run_once, sweep
 from hbs.compress import CompressionConfig, compress_operator
 from hbs.errors import ConfigurationError, NonFiniteError
 from hbs.linalg import STREAM_POWER, gaussian_matrix
-from hbs.operators import dense_oracle
+from hbs.operators import default_contour, dense_oracle, ntd_oracle
 from hbs.tree import build_tree
 
 
@@ -51,6 +51,12 @@ class TestRunOnce:
     def test_unknown_problem(self):
         with pytest.raises(ConfigurationError):
             build_oracle("laplace", 64, CompressionConfig(rank=4, leaf_threshold=8))
+
+    def test_bie_ntd_oracle(self):
+        oracle = build_oracle("bie-ntd", 64, CompressionConfig(rank=4, leaf_threshold=8))
+        x = np.random.default_rng(11).standard_normal((64, 2))
+        expected = ntd_oracle(64, default_contour()).apply_batch(x)
+        np.testing.assert_array_equal(oracle.apply_batch(x), expected)
 
     def test_negative_seed_rejected_before_oracle_assembly(self, monkeypatch):
         def no_oracle(*args):
@@ -114,6 +120,24 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2  # header plus the completed first row
+
+
+class TestCsvSchema:
+    # The schema's contract: columns are only ever appended, in these formats.
+    def test_header_is_pinned(self):
+        assert CSV_HEADER == (
+            "problem,n,r,m,s,seed,t_sample,t_compress,t_apply,rel_err,floats_per_dof,"
+            "matvecs_a,matvecs_at"
+        )
+
+    def test_row_format_is_pinned(self):
+        record = RunRecord(
+            "synthetic", 256, 6, 12, 18, 5, 0.001, 0.002, 0.0003, 1.5e-12, 12.25, 18, 18
+        )
+        assert record.csv_row() == (
+            "synthetic,256,6,12,18,5,1.000000e-03,2.000000e-03,3.000000e-04,1.500000e-12,"
+            "12.250000,18,18"
+        )
 
 
 class TestSchurRecord:

@@ -15,7 +15,7 @@ from hbs.compress import (
     draw_samples,
     lift_to_parent,
 )
-from hbs.errors import ConfigurationError, IllConditionedProbeError
+from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError
 from hbs.factorization import random_hbs, to_dense
 from hbs.flops import count_madds
 from hbs.linalg import gaussian_matrix, lstsq_right, nullspace
@@ -524,3 +524,44 @@ def test_package_compress_attribute_is_the_module():
     import hbs
 
     assert hbs.compress is importlib.import_module("hbs.compress")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rank", 8.0), ("rank", True), ("probes", 30.0), ("seed", 1.5), ("leaf_threshold", 16.0)],
+    )
+    def test_non_integer_config_field_is_config_error(self, field, value):
+        # a float or bool would otherwise escape later as an untyped numpy,
+        # SeedSequence or struct error
+        fields = {"rank": 8, "leaf_threshold": 16, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            CompressionConfig(**fields)
+
+    def test_numpy_integer_config_fields_are_accepted(self):
+        config = CompressionConfig(
+            rank=np.int64(4), leaf_threshold=np.int32(16), probes=np.int64(24), seed=np.uint8(3)
+        )
+        assert config.validate_for(build_tree(64, 16)) == 24
+
+    @pytest.mark.parametrize(
+        "reshape, probes, error, match",
+        [
+            (lambda a: a[:, 0], None, DimensionError, "n x s matrices"),  # 1-D arrays
+            (lambda a: a[:, :, None], None, DimensionError, "n x s matrices"),  # (n, s, 1)
+            (lambda a: a[:40], None, DimensionError, "samples are for n=40, tree has n=64"),
+            (lambda a: a, 30, ConfigurationError, "asks for 30 probes, samples have 40"),
+        ],
+        ids=["one-dimensional", "three-dimensional", "wrong-rows", "probe-count"],
+    )
+    def test_malformed_samples_are_rejected(self, reshape, probes, error, match):
+        tree = build_tree(64, 16)
+        samples = sample_dense(np.eye(64), 40, seed=52).map(reshape)
+        config = CompressionConfig(rank=4, leaf_threshold=16, probes=probes)
+        with pytest.raises(error, match=match):
+            compress_from_samples(samples, tree, config)
+
+    def test_sample_matrices_must_share_one_shape(self):
+        a = np.zeros((8, 4))
+        with pytest.raises(DimensionError, match="must share one shape"):
+            SampleSet(omega=a, psi=a, y=a, z=np.zeros((8, 5)))

@@ -291,6 +291,38 @@ class TestValidation:
             HbsFactorization(f.tree, f.rank, f.U, f.V, f.D, np.zeros((3, 3)))
 
 
+def _pad_disc_entry(f):
+    """Set one padding entry of a leaf discrepancy block of an uneven tree."""
+    j = f.tree.leaf_sizes.index(f.tree.min_leaf_size)
+    f.D[f.tree.depth][j, -1, 0] = 1.0
+
+
+def _nan_root(f):
+    f.root_disc[0, 0] = np.nan
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [(_pad_disc_entry, "outside the leaf size"), (_nan_root, "root core has non-finite")],
+        ids=["leaf-padding", "root-core"],
+    )
+    def test_validate_rejects(self, corrupt, match):
+        f = random_hbs(build_tree(36, 5), 2, seed=30)  # leaves of 4 and 5 rows
+        corrupt(f)
+        with pytest.raises(FormatError, match=match):
+            f.validate()
+
+    def test_rejects_stack_lists_of_wrong_length(self):
+        f = random_hbs(build_tree(32, 4), 2, seed=31)
+        with pytest.raises(DimensionError, match="need block stacks for levels 0..3"):
+            HbsFactorization(f.tree, f.rank, f.U[:-1], f.V, f.D, f.root_disc)
+
+    def test_random_hbs_rejects_negative_rank(self):
+        with pytest.raises(DimensionError, match="block rank must be nonnegative"):
+            random_hbs(build_tree(32, 4), -1, seed=32)
+
+
 class TestInvariants:
     def test_apply_dense_equivalence(self):
         rng = np.random.default_rng(21)

@@ -164,6 +164,10 @@ class TestLstsqRight:
         with pytest.raises(DimensionError):
             lstsq_right(np.ones((3, 2)), np.ones((4, 2)))
 
+    def test_rejects_column_mismatch(self):
+        with pytest.raises(DimensionError, match="column mismatch: B has 8, M is 2 x 9"):
+            lstsq_right(np.ones((3, 8)), gaussian_matrix(2, 9, seed=5))
+
     def test_non_finite_probe_raises_typed_error(self):
         for bad in (np.nan, np.inf):
             m = gaussian_matrix(3, 9, seed=4)

@@ -227,6 +227,10 @@ class TestGridProblem:
         coupling = gp.stiffness[gp.interior_top][:, gp.interior_bottom]
         assert coupling.nnz == 0
 
+    def test_rejects_narrow_grid(self):
+        with pytest.raises(DimensionError, match="grid width must be at least 8, got 7"):
+            grid_problem(7, 5)
+
     def test_rejects_even_height(self):
         with pytest.raises(DimensionError):
             grid_problem(10, 6)

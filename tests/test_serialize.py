@@ -176,6 +176,22 @@ class TestFormatErrors:
             with pytest.raises(FormatError):
                 load_factorization(path)
 
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "f.hbsf"
+        path.write_bytes(b"HBSF\x01\x00\x00\x00")
+        with pytest.raises(FormatError, match="truncated file: header needs 28 bytes"):
+            load_factorization(path)
+
+    def test_header_depth_disagrees_with_tree(self, tmp_path):
+        f = random_hbs(build_tree(32, 4), 2, seed=10)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        data = bytearray(path.read_bytes())
+        data[20:24] = (5).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="header depth 5 does not match the depth-3 tree"):
+            load_factorization(path)
+
     def test_trailing_garbage(self, tmp_path):
         f = random_hbs(build_tree(32, 4), 2, seed=7)
         path = tmp_path / "f.hbsf"

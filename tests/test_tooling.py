@@ -5,7 +5,8 @@ reported as missing there and its metrics vanish.  The driver
 (perfbench/run.py) calls library functions and reads report fields: a name
 that no longer resolves crashes the run.  So every such name must resolve
 here.  The library also holds no `assert` statement, which `python -O` would
-strip, and raises no error type that is not an `HbsError`."""
+strip, raises no error type that is not an `HbsError`, and names every RNG
+stream it draws from."""
 
 import ast
 import dataclasses
@@ -100,3 +101,25 @@ def test_library_raises_only_hbs_errors():
             if not (isinstance(raised, type) and issubclass(raised, hbs.HbsError)):
                 found.append(f"{path.name}:{node.lineno} raises {name}")
     assert not found, f"raises of a type that is not an HbsError: {found}"
+
+
+def test_every_rng_stream_is_named():
+    # Streams are named constants in hbs.linalg, where two names with one
+    # value would show; a number written (or a default left) at a call site
+    # would not.
+    stream_arg = {"gaussian_matrix": 3, "seeded_rng": 1}  # positional index of `stream`
+    calls, found = 0, []
+    for path in sorted(SRC.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func).rsplit(".", 1)[-1]
+            if name not in stream_arg:
+                continue
+            calls += 1
+            args = node.args[stream_arg[name] : stream_arg[name] + 1]
+            args += [kw.value for kw in node.keywords if kw.arg == "stream"]
+            if not args or any(isinstance(arg, ast.Constant) for arg in args):
+                found.append(f"{path.name}:{node.lineno}")
+    assert calls >= 5, f"scan found only {calls} draws"
+    assert not found, f"draws without a named RNG stream: {found}"

@@ -62,6 +62,21 @@ class TestBuildTree:
             build_tree(10, 1)
 
 
+class TestRealRows:
+    def test_marks_each_leafs_rows(self):
+        tree = build_tree(36, 5)  # leaves of 5 and 4 rows
+        mask = tree.real_rows
+        assert mask.shape == (8, 5)
+        assert mask.sum(axis=1).tolist() == list(tree.leaf_sizes)
+        assert all(mask[j, :q].all() for j, q in enumerate(tree.leaf_sizes))
+
+    def test_is_read_only_and_computed_once(self):
+        tree = build_tree(36, 5)
+        assert tree.real_rows is tree.real_rows
+        with pytest.raises(ValueError):
+            tree.real_rows[0, 0] = False
+
+
 class TestNodesAtLevel:
     def test_root_level(self):
         tree = build_tree(400, 100)
