@@ -5,9 +5,9 @@ against Gaussian test matrices of s columns each.  A level sweep over the
 block stacks that apply uses then recovers each level's bases by projecting
 its probes onto the nullspace of the nodes' own test rows (so the samples
 see only off-diagonal contributions), its discrepancy blocks from
-least-squares solves against the test rows that reuse the same QR factor,
-one probe side at a time, and lifts its samples into the parent level's
-test/sample stacks until the root core is solved directly.
+least-squares solves against the test rows that reuse the same Gram-matrix
+Cholesky factor, one probe side at a time, and lifts its samples into the
+parent level's test/sample stacks until the root core is solved directly.
 """
 
 import math
@@ -80,7 +80,11 @@ class SampleSet:
     z: np.ndarray
 
     def __post_init__(self):
-        shapes = {self.omega.shape, self.psi.shape, self.y.shape, self.z.shape}
+        arrays = (self.omega, self.psi, self.y, self.z)
+        if not all(isinstance(a, np.ndarray) for a in arrays):
+            kinds = sorted({type(a).__name__ for a in arrays})
+            raise DimensionError(f"sample matrices must be numpy arrays, got {kinds}")
+        shapes = {a.shape for a in arrays}
         if len(shapes) != 1:
             raise DimensionError(f"sample matrices must share one shape, got {shapes}")
 
@@ -182,7 +186,7 @@ def lift_to_parent(u, v, disc, samples: SampleSet, sizes) -> SampleSet:
 def compute_root(ns: SampleSet) -> np.ndarray:
     """At the root the whole remaining operator is the core, so one
     least-squares solve against the lifted test rows recovers it."""
-    return lstsq_right(ns.y, ns.omega)
+    return lstsq_right(ns.y, nullspace(ns.omega, 0))
 
 
 def compress_from_samples(

@@ -41,12 +41,15 @@ def matmul_madds(m, k, n):
     return m * k * n
 
 
-def qr_madds(m, n, full=False):
+def qr_madds(m, n):
     """Householder QR of an m x n matrix with m >= n, including explicit
-    formation of Q (reduced by default, all m columns when `full`)."""
-    factor = m * n * n - n**3 // 3
-    form_q = m * m * n if full else m * n * n
-    return factor + form_q
+    formation of the reduced Q."""
+    return 2 * m * n * n - n**3 // 3
+
+
+def cholesky_madds(n):
+    """Cholesky factor of an n x n symmetric positive definite matrix."""
+    return n**3 // 6
 
 
 def svdvals_madds(n):

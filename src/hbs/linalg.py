@@ -1,7 +1,7 @@
 """Dense linear-algebra primitives: seeded Gaussian test matrices, QR column
-bases, one complete QR and one triangular inverse per wide probe matrix for
-its nullspace basis and its pseudoinverse action, with a certified rank
-screen, and a power-method estimator for relative norms.
+bases, the Cholesky probe factor of a wide test matrix (certified rank screen,
+per-entry Householder fallback) that gives a nullspace sketch and the
+pseudoinverse action by products, and a power-method norm estimator.
 
 All routines work on float64 ndarrays and are pure functions of their
 inputs, so identical seeds reproduce runs bit-for-bit on one platform.
@@ -15,13 +15,14 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from .flops import add_madds, matmul_madds, qr_madds, svdvals_madds, trtri_madds
+from .flops import add_madds, cholesky_madds, matmul_madds, qr_madds, svdvals_madds, trtri_madds
 
 # Named substreams of a single user seed, so one seed reproduces a full run.
 STREAM_OMEGA = 0
 STREAM_PSI = 1
 STREAM_POWER = 2
 STREAM_SYNTHETIC = 3
+STREAM_NULL = 4
 STREAM_APPLY = 9
 
 # Power-method iterations behind every rel_err estimate unless a caller asks otherwise.
@@ -62,102 +63,134 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.qr(b)[0][..., :k]
 
 
-# One complete QR of a wide probe matrix M (or stack) transposed, M^T = [Q1 Q2] [R1; 0]:
-# `null` holds trailing columns of Q2, orthonormal in M's nullspace; M^+ = Q1 R1^{-T}.
-# `r1_inv` holds R1^{-1} (all inf where R1 is exactly singular), `r1_norm` ||R1||_F.
-ProbeQR = namedtuple("ProbeQR", "null q1 r1_inv r1_norm")
+# The probe factor of a wide M (or stack): M^+ = M^T L^{-T} L^{-1}, L L^T = M M^T.
+# `l_inv` is L^{-1} (all inf where L is singular), `null` spans k columns of null(M),
+# `ratio` (flat) bounds sigma_min / sigma_max below, exactly under the tolerance.
+ProbeFactor = namedtuple("ProbeFactor", "m l_inv null ratio")
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, with no temporary stack; an
-    entry whose plain sum of squares overflows is rescaled by a power of two."""
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(np.einsum("...ij,...ij->...", a, a)).reshape(-1)
-    entries = a.reshape(norm.size, *a.shape[-2:])
-    for j in np.flatnonzero(~np.isfinite(norm)):
-        scale = np.ldexp(1.0, np.frexp(np.abs(entries[j]).max())[1])
-        norm[j] = scale * np.linalg.norm(entries[j] / scale)
-    return norm.reshape(a.shape[:-2])
+def _invert_lower(low: np.ndarray) -> np.ndarray:
+    """Invert each lower-triangular matrix of a C-ordered stack in place and
+    return 1 / (||L||_F ||L^{-1}||_F), flattened, a lower bound on its
+    sigma_min / sigma_max; an exactly singular entry becomes all inf, ratio 0."""
+    rows = low.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.sqrt(np.einsum("...ij,...ij->...", low, low))
+        # LAPACK in place on L^T, the Fortran view of a C-ordered entry: 3-5x a batched inv.
+        for entry in low.reshape(-1, rows, rows) if rows else ():
+            if dtrtri(entry.T, lower=0, overwrite_c=1)[1] > 0:  # a zero on the diagonal
+                entry.fill(np.inf)
+        ratio = np.ravel(1.0 / (norm * np.sqrt(np.einsum("...ij,...ij->...", low, low))))
+    return np.where(np.isnan(ratio), 0.0, ratio)
 
 
-def nullspace(m: np.ndarray, k: int) -> ProbeQR:
-    """Factor a wide matrix `m` by one complete QR of m^T, whose `null` holds
-    k orthonormal nullspace columns, and invert its triangular factor R1;
-    `lstsq_right` reuses both for m^+ and judges R1's conditioning."""
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each matrix of a stack; one that is not
+    positive definite comes back all NaN, alone."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        if gram.ndim == 2:
+            return np.full_like(gram, np.nan)
+        entries = [_cholesky(a) for a in gram.reshape(-1, *gram.shape[-2:])]
+        return np.array(entries).reshape(gram.shape)
+
+
+def _householder(unit: np.ndarray):
+    """(Q1, L^{-1}, ratio) from a reduced QR M^T = Q1 R1 with L = R1^T, for the
+    entries the Gram matrix cannot certify.  Only those this bound cannot
+    certify either pay for a values-only SVD, of L^{-1}: its ratio is L's."""
+    count, rows, cols = unit.shape
+    add_madds(count * (qr_madds(cols, rows) + trtri_madds(rows)))
+    q1, r1 = np.linalg.qr(unit.swapaxes(-1, -2))
+    low = np.ascontiguousarray(r1.swapaxes(-1, -2))
+    ratio = _invert_lower(low)
+    doubt = [j for j in np.flatnonzero(ratio < _ILL_CONDITIONING_TOL) if np.isfinite(low[j]).all()]
+    if doubt:
+        add_madds(len(doubt) * svdvals_madds(rows))
+        sig = np.linalg.svd(low[doubt], compute_uv=False)
+        ratio[doubt] = sig[:, -1] / sig[:, 0]
+    return q1, low, ratio
+
+
+def _projection(m, l_inv, x, fwd, mid, out=None):
+    """M^T L^{-T} L^{-1} (M x) through the (.., rows, k) scratch stacks `fwd`
+    and `mid`: fresh pages cost more than these products."""
+    np.matmul(m, x, out=fwd)
+    np.matmul(l_inv, fwd, out=mid)
+    np.matmul(l_inv.swapaxes(-1, -2), mid, out=fwd)
+    return np.matmul(m.swapaxes(-1, -2), fwd, out=out)
+
+
+def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
+    """Factor a wide `m` (or stack) through L = chol(M M^T) for `lstsq_right`
+    and sketch k columns of its nullspace, N = (I - M^+ M) G, projected twice,
+    the second pass against M's own residual M N.  Each entry is scaled by a
+    power of two first, so its Gram matrix stays in range.
+
+    1 / (||L||_F ||L^{-1}||_F) >= sqrt(_ILL_CONDITIONING_TOL) certifies an
+    entry; each other entry takes the Householder path alone.  Where N spans
+    all of null(M), G's share of it is a square Gaussian, often ill
+    conditioned, so one CholeskyQR step conditions N between the passes."""
     rows, cols = m.shape[-2:]
     if cols - rows < k:
         raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
-    add_madds(math.prod(m.shape[:-2]) * (qr_madds(cols, rows, full=True) + trtri_madds(rows)))
-    q, r = np.linalg.qr(m.swapaxes(-1, -2), mode="complete")
-    # Contiguous float64 and private to this call, so LAPACK inverts it in place.
-    r1 = np.ascontiguousarray(r[..., :rows, :], dtype=np.float64)
-    r1_norm = _frobenius(r1)
-    # Per-matrix LAPACK inverse in place: R1^T is the Fortran-ordered view of a
-    # C-ordered entry.  It beats a batched np.linalg.inv 3-5x at these sizes.
-    for entry in r1.reshape(-1, rows, rows) if rows else ():
-        _, info = dtrtri(entry.T, lower=1, overwrite_c=1)
-        if info > 0:  # a zero on R1's diagonal: exactly singular, no inverse
-            entry.fill(np.inf)
-    return ProbeQR(null=q[..., cols - k :], q1=q[..., :rows], r1_inv=r1, r1_norm=r1_norm)
+    count, square = math.prod(m.shape[:-2]), 0 < k == cols - rows
+    madds = matmul_madds(rows, cols, rows) + cholesky_madds(rows) + trtri_madds(rows)
+    madds += 4 * (matmul_madds(rows, cols, k) + matmul_madds(rows, rows, k))
+    if square:
+        madds += 2 * matmul_madds(cols, k, k) + cholesky_madds(k) + trtri_madds(k)
+    add_madds(count * madds)
+    peak = np.maximum(m.max(axis=(-2, -1), initial=0.0), -m.min(axis=(-2, -1), initial=0.0))
+    if not np.isfinite(peak).all():
+        raise NonFiniteError(f"probe matrix ({rows} x {cols}) holds non-finite entries")
+    shift = -np.asarray(np.frexp(peak)[1])[..., None, None]
+    unit = np.ldexp(m, shift)
+    low = _cholesky(unit @ unit.swapaxes(-1, -2))
+    ratio = _invert_lower(low)
+    fallback = np.flatnonzero(~(ratio >= math.sqrt(_ILL_CONDITIONING_TOL)))
+    flat = low.reshape(count, rows, rows)
+    if fallback.size:
+        q1, inv, ratio[fallback] = _householder(unit.reshape(count, rows, cols)[fallback])
+        flat[fallback] = 0.0  # their sketch comes from Q1 below
+    g, spare = seeded_rng(0, STREAM_NULL).standard_normal((cols, k)), None
+    fwd, mid = np.empty((2, *m.shape[:-2], rows, k))
+    null = _projection(unit, low, g, fwd, mid)
+    np.subtract(g, null, out=null)
+    if square:
+        fix = _cholesky(null.swapaxes(-1, -2) @ null)
+        _invert_lower(fix)
+        fix[np.isnan(fix[..., 0, 0])] = np.eye(k)  # keep N where the factor failed
+        spare, null = null, null @ fix.swapaxes(-1, -2)
+    null -= _projection(unit, low, null, fwd, mid, out=spare)
+    if fallback.size:
+        add_madds(fallback.size * 2 * matmul_madds(cols, rows, k))
+        null.reshape(count, cols, k)[fallback] = g - q1 @ (q1.swapaxes(-1, -2) @ g)
+        flat[fallback] = inv
+    return ProbeFactor(m=m, l_inv=np.ldexp(low, shift, out=low), null=null, ratio=ratio)
 
 
-def _conditioning(qr: ProbeQR) -> np.ndarray:
-    """sigma_min / sigma_max of every R1 in `qr`, flattened, exact wherever it
-    is below _ILL_CONDITIONING_TOL.
-
-    1 / (||R1||_F ||R1^{-1}||_F) bounds the ratio from below, so only the
-    entries it cannot certify pay for a values-only SVD, taken of R1^{-1}
-    (whose singular values are the reciprocals of R1's, so its ratio is the
-    same).  An inverse that is not finite counts as ratio 0.
-    """
-    rows = qr.r1_inv.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = np.ravel(1.0 / (qr.r1_norm * _frobenius(qr.r1_inv)))
-    doubt = np.flatnonzero(~(ratio >= _ILL_CONDITIONING_TOL))
-    if doubt.size:
-        inv = qr.r1_inv.reshape(-1, rows, rows)[doubt]
-        finite = np.isfinite(inv).all(axis=(-2, -1))
-        exact = np.zeros(doubt.size)
-        if finite.any():
-            add_madds(int(finite.sum()) * svdvals_madds(rows))
-            sig = np.linalg.svd(inv[finite], compute_uv=False)
-            exact[finite] = sig[..., -1] / sig[..., 0]
-        ratio[doubt] = exact
-    return ratio
-
-
-def lstsq_right(b: np.ndarray, m) -> np.ndarray:
-    """Solve min_X ||X M - B||_F for wide, full-row-rank M (i.e. apply M's
-    pseudoinverse on the right: X = B M^+).
-
-    `m` is M itself or the ProbeQR that `nullspace` returned for it.  From
-    M^T = [Q1 Q2] [R1; 0], X = (B Q1) R1^{-T}: two products.  R1 has M's
-    singular values; a ratio sigma_min / sigma_max below
-    _ILL_CONDITIONING_TOL raises IllConditionedProbeError, whose `index` is
-    the flat position of the first such matrix in a stack, and a non-finite
-    ||R1||_F raises NonFiniteError.
-    """
-    qr = m if isinstance(m, ProbeQR) else nullspace(m, 0)
-    cols, rows = qr.q1.shape[-2:]
+def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
+    """X = B M^+ = ((B M^T) L^{-T}) L^{-1} for wide, full-row-rank M, from the
+    ProbeFactor `nullspace` returned for M.  A ratio sigma_min / sigma_max
+    below _ILL_CONDITIONING_TOL raises IllConditionedProbeError, whose
+    `index` is the flat position of the first such matrix in a stack."""
+    rows, cols = factor.m.shape[-2:]
     if b.shape[-1] != cols:
         raise DimensionError(f"column mismatch: B has {b.shape[-1]}, M is {rows} x {cols}")
-    if not np.all(np.isfinite(qr.r1_norm)):
-        raise NonFiniteError(
-            f"probe matrix ({rows} x {cols}) holds non-finite or overflowing entries"
-        )
-    ratio = _conditioning(qr)
-    bad = np.flatnonzero(ratio < _ILL_CONDITIONING_TOL)
+    bad = np.flatnonzero(factor.ratio < _ILL_CONDITIONING_TOL)
     if bad.size:
         raise IllConditionedProbeError(
             f"probe matrix ({rows} x {cols}) is rank deficient within tolerance "
-            f"{_ILL_CONDITIONING_TOL:g} (sigma_min/sigma_max = {ratio[bad[0]]:.3e}); "
+            f"{_ILL_CONDITIONING_TOL:g} (sigma_min/sigma_max = {factor.ratio[bad[0]]:.3e}); "
             "increase the probe count s",
-            index=int(bad[0]) if qr.r1_inv.ndim > 2 else None,
+            index=int(bad[0]) if factor.m.ndim > 2 else None,
         )
     b_rows = b.shape[-2]
-    products = matmul_madds(b_rows, cols, rows) + matmul_madds(b_rows, rows, rows)
-    add_madds(math.prod(qr.r1_inv.shape[:-2]) * products)
-    return (b @ qr.q1) @ qr.r1_inv.swapaxes(-1, -2)
+    products = matmul_madds(b_rows, cols, rows) + 2 * matmul_madds(b_rows, rows, rows)
+    add_madds(math.prod(factor.m.shape[:-2]) * products)
+    x = b @ factor.m.swapaxes(-1, -2)
+    return np.matmul(x @ factor.l_inv.swapaxes(-1, -2), factor.l_inv, out=x)
 
 
 def check_power_iters(iters: int) -> None:

@@ -188,7 +188,8 @@ class TestComputeDiscrepancy:
         att = np.random.default_rng(12).standard_normal((m, m))
         omega_t = gaussian_matrix(m, s, 13, 0)
         psi_t = gaussian_matrix(m, s, 13, 1)
-        left, right = lstsq_right(att @ omega_t, omega_t), lstsq_right(att.T @ psi_t, psi_t)
+        left = lstsq_right(att @ omega_t, nullspace(omega_t, 0))
+        right = lstsq_right(att.T @ psi_t, nullspace(psi_t, 0))
         d = compute_discrepancy(np.zeros((m, 0)), np.zeros((m, 0)), left, right)
         np.testing.assert_allclose(d, att, atol=1e-12)
 
@@ -199,7 +200,8 @@ class TestComputeDiscrepancy:
         v = np.linalg.qr(rng.standard_normal((m, r)))[0]
         omega_t = gaussian_matrix(m, s, 15, 0)
         psi_t = gaussian_matrix(m, s, 15, 1)
-        left, right = lstsq_right(omega_t, omega_t), lstsq_right(psi_t, psi_t)
+        left = lstsq_right(omega_t, nullspace(omega_t, 0))
+        right = lstsq_right(psi_t, nullspace(psi_t, 0))
         d = compute_discrepancy(u, v, left, right)
         expected = np.eye(m) - u @ u.T @ v @ v.T
         np.testing.assert_allclose(d, expected, atol=1e-11)
@@ -452,16 +454,17 @@ class TestCompress:
         assert err <= 1e-10
         f.validate()  # leaf blocks written by size class keep zero padding
 
-    def test_one_qr_per_probe_stack(self, monkeypatch):
+    def test_one_cholesky_per_probe_stack(self, monkeypatch):
         # each probe side's solve reuses the factor of its basis, so each
         # omega and psi stack (one per level and leaf size) and the root omega
-        # get one complete QR; with Gaussian probes the rank screen certifies every
-        # R1, so no SVD runs at all
+        # get one Cholesky factorization and no complete QR; with Gaussian
+        # probes the Gram bound certifies every entry, so no Householder
+        # fallback and no SVD runs at all
         n, k, r, m = 333, 4, 8, 24
         tree = build_tree(n, m)
         a = to_dense(random_hbs(tree, k, seed=48))
-        qr, svd = np.linalg.qr, np.linalg.svd
-        modes, uv = [], []
+        qr, svd, cholesky = np.linalg.qr, np.linalg.svd, np.linalg.cholesky
+        modes, uv, factored = [], [], []
 
         def counting_qr(b, mode="reduced"):
             modes.append(mode)
@@ -471,11 +474,23 @@ class TestCompress:
             uv.append(compute_uv)
             return svd(b, full_matrices=full_matrices, compute_uv=compute_uv)
 
+        def counting_cholesky(b, upper=False):
+            factored.append(b.shape)
+            return cholesky(b, upper=upper)
+
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         compress_operator(dense_oracle(a), CompressionConfig(rank=r, leaf_threshold=m, seed=48))
         size_classes = tree.depth + 1  # the leaf level holds two leaf sizes
-        assert modes.count("complete") == 2 * size_classes + 1
+        assert len([shape for shape in factored if shape[-1] != r]) == 2 * size_classes + 1
+        # s = 29 leaves the 21-row leaves a nullity of exactly r, so there each
+        # side's sketch also takes one CholeskyQR step, on an r x r Gram matrix
+        wide = tree.leaf_sizes.count(21)
+        assert [shape for shape in factored if shape[-1] == r] == [(wide, r, r)] * 2
+        assert "complete" not in modes
+        # the only QRs left orthonormalize the two projected samples per stack
+        assert len(modes) == 2 * size_classes
         assert uv == []
 
     def test_compressed_bases_are_orthonormal(self):
@@ -565,3 +580,8 @@ class TestInputChecks:
         a = np.zeros((8, 4))
         with pytest.raises(DimensionError, match="must share one shape"):
             SampleSet(omega=a, psi=a, y=a, z=np.zeros((8, 5)))
+
+    def test_sample_matrices_must_be_arrays(self):
+        # an array-like has no .shape; it is a typed error, not an AttributeError
+        with pytest.raises(DimensionError, match=r"must be numpy arrays, got \[.list.\]"):
+            SampleSet(omega=[[1.0]], psi=[[1.0]], y=[[1.0]], z=[[1.0]])

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.flops import count_madds, svdvals_madds
-from hbs.linalg import col, gaussian_matrix, lstsq_right, nullspace, power_method_relnorm
+from hbs.flops import count_madds, matmul_madds, qr_madds, svdvals_madds, trtri_madds
+from hbs.linalg import (
+    STREAM_NULL,
+    col,
+    gaussian_matrix,
+    lstsq_right,
+    nullspace,
+    power_method_relnorm,
+    seeded_rng,
+)
 
 # Frozen regression values for the committed generator (seed 7, stream 0).
 FROZEN_GAUSS_MEAN = -0.01581890868143026
@@ -96,18 +104,18 @@ class TestNullspace:
         b = np.array([[1.0, 0.0, 0.0]])
         z = nullspace(b, 2).null
         np.testing.assert_allclose(b @ z, 0.0, atol=1e-14)
-        np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-13)
+        assert np.linalg.matrix_rank(z) == 2
 
     def test_gaussian_residual(self):
         b = gaussian_matrix(5, 15, seed=3)
         z = nullspace(b, 10).null
         assert np.linalg.norm(b @ z) <= 1e-12 * np.linalg.norm(b)
-        assert np.linalg.norm(z.T @ z - np.eye(10)) <= 1e-12
+        assert np.linalg.matrix_rank(z) == 10
 
     def test_zero_matrix(self):
         z = nullspace(np.zeros((2, 4)), 2).null
         assert z.shape == (4, 2)
-        np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-14)
+        assert np.linalg.matrix_rank(z) == 2
         assert np.linalg.norm(np.zeros((2, 4)) @ z) == 0.0
 
     def test_residual_invariant_many_shapes(self):
@@ -116,7 +124,27 @@ class TestNullspace:
             b = rng.standard_normal((rows, cols))
             z = nullspace(b, k).null
             assert np.linalg.norm(b @ z) <= 1e-12 * max(1.0, np.linalg.norm(b))
-            assert np.linalg.norm(z.T @ z - np.eye(k)) <= 1e-12
+            assert np.linalg.matrix_rank(z) == k
+
+    def test_sketch_of_the_whole_nullspace_is_conditioned(self):
+        # nullity == k: a Gaussian G gives N = Z (Z^T G) with a square Z^T G,
+        # often ill conditioned; one CholeskyQR step between the passes makes
+        # the sketch orthonormal up to roundoff
+        m = np.random.default_rng(18).standard_normal((64, 30, 45))
+        z = nullspace(m, 15).null
+        sig = np.linalg.svd(z, compute_uv=False)
+        assert np.abs(sig - 1.0).max() <= 1e-8
+        assert np.linalg.norm(m @ z) <= 1e-12 * np.linalg.norm(m)
+
+    def test_sketch_survives_a_test_column_in_the_row_space(self):
+        # the first column of the fixed G lies in M's row space, so its
+        # projection vanishes and the sketch's Gram matrix is nearly singular
+        rows, cols, k = 6, 9, 3
+        g = seeded_rng(0, STREAM_NULL).standard_normal((cols, k))
+        m = np.vstack((g[:, 0], gaussian_matrix(rows - 1, cols, seed=19)))
+        z = nullspace(m, k).null
+        assert np.isfinite(z).all()
+        assert np.linalg.norm(m @ z) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(z)
 
     def test_rejects_excess_nullity(self):
         with pytest.raises(DimensionError):
@@ -128,19 +156,19 @@ class TestLstsqRight:
         m = np.zeros((2, 4))
         m[0, 0] = 2.0
         m[1, 1] = 2.0
-        x = lstsq_right(m, m)
+        x = lstsq_right(m, nullspace(m, 0))
         np.testing.assert_allclose(x, np.eye(2), atol=1e-14)
 
     def test_planted_solution(self):
         rng = np.random.default_rng(23)
         m = rng.standard_normal((4, 12))
         c = rng.standard_normal((3, 4))
-        x = lstsq_right(c @ m, m)
+        x = lstsq_right(c @ m, nullspace(m, 0))
         assert np.linalg.norm(x - c) <= 1e-12 * np.linalg.norm(c)
 
     def test_zero_rhs(self):
         m = gaussian_matrix(3, 9, seed=2)
-        x = lstsq_right(np.zeros((5, 9)), m)
+        x = lstsq_right(np.zeros((5, 9)), nullspace(m, 0))
         np.testing.assert_allclose(x, 0.0, atol=1e-15)
 
     def test_residual_optimality(self):
@@ -148,7 +176,7 @@ class TestLstsqRight:
         rng = np.random.default_rng(31)
         m = rng.standard_normal((4, 10))
         b = rng.standard_normal((6, 10))
-        x = lstsq_right(b, m)
+        x = lstsq_right(b, nullspace(m, 0))
         base = np.linalg.norm(x @ m - b)
         for _ in range(10):
             delta = rng.standard_normal(x.shape)
@@ -158,33 +186,35 @@ class TestLstsqRight:
     def test_rank_deficient_raises(self):
         m = np.vstack((np.ones(8), np.ones(8)))  # two identical rows
         with pytest.raises(IllConditionedProbeError):
-            lstsq_right(np.ones((3, 8)), m)
+            lstsq_right(np.ones((3, 8)), nullspace(m, 0))
 
     def test_rejects_tall_probe(self):
         with pytest.raises(DimensionError):
-            lstsq_right(np.ones((3, 2)), np.ones((4, 2)))
+            lstsq_right(np.ones((3, 2)), nullspace(np.ones((4, 2)), 0))
 
     def test_rejects_column_mismatch(self):
         with pytest.raises(DimensionError, match="column mismatch: B has 8, M is 2 x 9"):
-            lstsq_right(np.ones((3, 8)), gaussian_matrix(2, 9, seed=5))
+            lstsq_right(np.ones((3, 8)), nullspace(gaussian_matrix(2, 9, seed=5), 0))
 
     def test_non_finite_probe_raises_typed_error(self):
         for bad in (np.nan, np.inf):
             m = gaussian_matrix(3, 9, seed=4)
             m[1, 5] = bad
             with pytest.raises(NonFiniteError):
-                lstsq_right(np.ones((2, 9)), m)
+                lstsq_right(np.ones((2, 9)), nullspace(m, 0))
 
     def test_scaled_probe_scales_solve(self):
-        # ||R1||_F of a probe near 1e180 overflows a plain sum of squares;
+        # the Gram matrix of a probe near 1e180 overflows a plain product;
         # a power-of-two scale of M scales M^+ exactly
         m = gaussian_matrix(3, 9, seed=5)
         b = gaussian_matrix(2, 9, seed=6)
+        x = lstsq_right(b, nullspace(m, 0))
         for e in (600, -600):
-            assert np.array_equal(lstsq_right(b, 2.0**e * m), 2.0**-e * lstsq_right(b, m))
+            assert np.array_equal(lstsq_right(b, nullspace(2.0**e * m, 0)), 2.0**-e * x)
 
     def test_screen_defers_to_exact_ratio(self):
-        # half the singular values at 1, half at 2e-10: the Frobenius bound
+        # half the singular values at 1, half at 2e-10: the Gram matrix cannot
+        # certify M, and on the Householder fallback the Frobenius bound
         # 1 / (||R1||_F ||R1^-1||_F) = 6.25e-12 cannot certify R1, but the
         # exact ratio 2e-10 clears the 1e-10 tolerance, so the solve runs
         rng = np.random.default_rng(60)
@@ -195,11 +225,13 @@ class TestLstsqRight:
         m = (u * sig) @ v.T
         b = rng.standard_normal((5, cols))
         with count_madds() as doubtful:
-            x = lstsq_right(b, m)
+            x = lstsq_right(b, nullspace(m, 0))
         with count_madds() as certified:
-            lstsq_right(b, gaussian_matrix(rows, cols, seed=61))
-        # only the entry the screen cannot certify pays for an SVD
-        assert doubtful.madds - certified.madds == svdvals_madds(rows)
+            lstsq_right(b, nullspace(gaussian_matrix(rows, cols, seed=61), 0))
+        # only the entry the Gram bound cannot certify pays for the Householder
+        # fallback, and only because its R1 bound cannot either for an SVD
+        fallback = qr_madds(cols, rows) + trtri_madds(rows) + svdvals_madds(rows)
+        assert doubtful.madds - certified.madds == fallback
         ref = np.linalg.lstsq(m.T, b.T, rcond=None)[0].T
         # agreement within the roundoff bound scaled by the condition number
         eps = np.finfo(float).eps
@@ -207,11 +239,11 @@ class TestLstsqRight:
 
     def test_repeat_solves_are_identical(self):
         rng = np.random.default_rng(62)
-        qr = nullspace(rng.standard_normal((4, 6, 15)), 5)
-        before = [a.copy() for a in qr]
+        factor = nullspace(rng.standard_normal((4, 6, 15)), 5)
+        before = [a.copy() for a in factor]
         rhs = rng.standard_normal((4, 5, 15))
-        assert np.array_equal(lstsq_right(rhs, qr), lstsq_right(rhs, qr))
-        assert all(np.array_equal(a, b) for a, b in zip(qr, before))
+        assert np.array_equal(lstsq_right(rhs, factor), lstsq_right(rhs, factor))
+        assert all(np.array_equal(a, b) for a, b in zip(factor, before))
 
 
 class TestStacks:
@@ -223,37 +255,39 @@ class TestStacks:
         tall = rng.standard_normal((4, 15, 6))
         rhs = rng.standard_normal((4, 5, 15))
         with count_madds() as stacked:
-            qr, q = nullspace(wide, 5), col(tall, 6)
-            x, x_qr = lstsq_right(rhs, wide), lstsq_right(rhs, qr)
+            factor, q = nullspace(wide, 5), col(tall, 6)
+            x, x_null = lstsq_right(rhs, nullspace(wide, 0)), lstsq_right(rhs, factor)
         with count_madds() as single:
             for j in range(4):
-                qr_j = nullspace(wide[j], 5)
-                assert np.array_equal(qr.null[j], qr_j.null)
+                factor_j = nullspace(wide[j], 5)
+                assert np.array_equal(factor.null[j], factor_j.null)
                 assert np.array_equal(q[j], col(tall[j], 6))
-                assert np.array_equal(x[j], lstsq_right(rhs[j], wide[j]))
-                assert np.array_equal(x_qr[j], lstsq_right(rhs[j], qr_j))
+                assert np.array_equal(x[j], lstsq_right(rhs[j], nullspace(wide[j], 0)))
+                assert np.array_equal(x_null[j], lstsq_right(rhs[j], factor_j))
         assert stacked.madds == single.madds
         # the nullspace factor solves exactly as a fresh factorization does
-        assert np.array_equal(x_qr, x)
+        assert np.array_equal(x_null, x)
 
     def test_rank_deficient_entry_is_reported(self):
         rng = np.random.default_rng(51)
         m = rng.standard_normal((5, 3, 9))
         m[3, 1] = m[3, 0]
         with pytest.raises(IllConditionedProbeError) as excinfo:
-            lstsq_right(rng.standard_normal((5, 4, 9)), m)
+            lstsq_right(rng.standard_normal((5, 4, 9)), nullspace(m, 0))
         assert excinfo.value.index == 3
 
     def test_exactly_singular_entry_is_reported(self):
-        # a zero row gives R1 an exact zero on its diagonal, which the
-        # triangular inverse reports instead of inverting
+        # a zero row fails that entry's Cholesky factor and gives its
+        # Householder R1 an exact zero on the diagonal; its nullspace sketch
+        # still holds, and the solve reports it
         rng = np.random.default_rng(52)
         m = rng.standard_normal((5, 3, 9))
         m[2, 1] = 0.0
-        qr = nullspace(m, 2)
-        assert np.all(np.isinf(qr.r1_inv[2]))
+        factor = nullspace(m, 2)
+        assert np.linalg.norm(m[2] @ factor.null[2]) <= 1e-12 * np.linalg.norm(m[2])
+        assert np.linalg.matrix_rank(factor.null[2]) == 2
         with pytest.raises(IllConditionedProbeError) as excinfo:
-            lstsq_right(rng.standard_normal((5, 4, 9)), qr)
+            lstsq_right(rng.standard_normal((5, 4, 9)), factor)
         assert excinfo.value.index == 2
 
     def test_rank_deficient_factor_is_reported(self):
@@ -261,10 +295,67 @@ class TestStacks:
         rng = np.random.default_rng(51)
         m = rng.standard_normal((5, 3, 9))
         m[3, 1] = m[3, 0]
-        qr = nullspace(m, 2)
+        factor = nullspace(m, 2)
         with pytest.raises(IllConditionedProbeError) as excinfo:
-            lstsq_right(rng.standard_normal((5, 4, 9)), qr)
+            lstsq_right(rng.standard_normal((5, 4, 9)), factor)
         assert excinfo.value.index == 3
+
+
+    @staticmethod
+    def _conditioned(seed, rows, cols, kappa):
+        # a rows x cols matrix with singular values spread from 1 to 1/kappa
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+        return (u * np.geomspace(1.0, 1.0 / kappa, rows)) @ v.T
+
+    def test_hard_entries_fall_back_one_by_one(self):
+        # an exactly singular entry, a zero entry, one at kappa ~1e7 (past the
+        # Gram bound's reach) and one at kappa ~1e12 (past the tolerance) in
+        # one stack: no LinAlgError escapes, each entry's nullspace sketch
+        # holds, and the stack equals its per-matrix calls bit for bit
+        rows, cols, k, eps = 4, 12, 3, np.finfo(float).eps
+        rng = np.random.default_rng(53)
+        m = rng.standard_normal((6, rows, cols))
+        m[1, 2] = 0.0
+        m[2] = 0.0
+        m[3] = self._conditioned(54, rows, cols, 1e7)
+        m[4] = self._conditioned(55, rows, cols, 1e12)
+        rhs = rng.standard_normal((6, 5, cols))
+        factor = nullspace(m, k)
+        for j in range(6):
+            single = nullspace(m[j], k)
+            assert all(np.array_equal(a[j], b) for a, b in zip(factor[:3], single[:3]))
+            assert factor.ratio[j] == single.ratio[0]
+            z = factor.null[j]
+            assert np.linalg.norm(m[j] @ z) <= 1e-12 * np.linalg.norm(m[j])
+            assert np.linalg.matrix_rank(z) == k
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            lstsq_right(rhs, factor)
+        assert excinfo.value.index == 1
+        # each hard entry among Gaussian ones: a solution or its own index
+        for j in (1, 2, 3, 4):
+            mixed = rng.standard_normal((6, rows, cols))
+            mixed[j] = m[j]
+            if j != 3:
+                with pytest.raises(IllConditionedProbeError) as excinfo:
+                    lstsq_right(rhs, nullspace(mixed, k))
+                assert excinfo.value.index == j
+                continue
+            gaussian = mixed.copy()
+            gaussian[j] = rng.standard_normal((rows, cols))
+            with count_madds() as hard:
+                x = lstsq_right(rhs, nullspace(mixed, k))
+            with count_madds() as easy:
+                lstsq_right(rhs, nullspace(gaussian, k))
+            # the kappa ~1e7 entry alone takes the Householder path, whose
+            # R1 bound certifies it without an SVD
+            householder = qr_madds(cols, rows) + trtri_madds(rows)
+            assert hard.madds - easy.madds == householder + 2 * matmul_madds(cols, rows, k)
+            ref = np.linalg.lstsq(m[j].T, rhs[j].T, rcond=None)[0].T
+            assert np.linalg.norm(x[j] - ref) <= 100 * eps * 1e7 * np.linalg.norm(ref)
+            for i in range(6):
+                assert np.array_equal(x[i], lstsq_right(rhs[i], nullspace(mixed[i], k)))
 
 
 class TestPowerMethodRelnorm:
