@@ -63,10 +63,11 @@ def col(b: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.qr(b)[0][..., :k]
 
 
-# The probe factor of a wide M (or stack): M^+ = M^T L^{-T} L^{-1}, L L^T = M M^T.
-# `l_inv` is L^{-1} (all inf where L is singular), `null` spans k columns of null(M),
+# The probe factor of a wide M (or stack): M^+ = Q1 L^{-1} with Q1 = M^T L^{-T},
+# L L^T = M M^T, or Householder's M^T = Q1 L^T on fallback entries.  `l_inv` is
+# L^{-1} (all inf where L is singular), `null` spans k columns of null(M),
 # `ratio` (flat) bounds sigma_min / sigma_max below, exactly under the tolerance.
-ProbeFactor = namedtuple("ProbeFactor", "m l_inv null ratio")
+ProbeFactor = namedtuple("ProbeFactor", "q1 l_inv null ratio")
 
 
 def _invert_lower(low: np.ndarray) -> np.ndarray:
@@ -113,31 +114,24 @@ def _householder(unit: np.ndarray):
     return q1, low, ratio
 
 
-def _projection(m, l_inv, x, fwd, mid, out=None):
-    """M^T L^{-T} L^{-1} (M x) through the (.., rows, k) scratch stacks `fwd`
-    and `mid`: fresh pages cost more than these products."""
-    np.matmul(m, x, out=fwd)
-    np.matmul(l_inv, fwd, out=mid)
-    np.matmul(l_inv.swapaxes(-1, -2), mid, out=fwd)
-    return np.matmul(m.swapaxes(-1, -2), fwd, out=out)
-
-
 def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
     """Factor a wide `m` (or stack) through L = chol(M M^T) for `lstsq_right`
-    and sketch k columns of its nullspace, N = (I - M^+ M) G, projected twice,
-    the second pass against M's own residual M N.  Each entry is scaled by a
-    power of two first, so its Gram matrix stays in range.
+    and sketch k columns of its nullspace, N = (I - Q1 Q1^T) G, projected
+    twice, the second pass against M's own residual M N.  Each entry is
+    scaled by a power of two first, so its Gram matrix stays in range.
 
     1 / (||L||_F ||L^{-1}||_F) >= sqrt(_ILL_CONDITIONING_TOL) certifies an
-    entry; each other entry takes the Householder path alone.  Where N spans
-    all of null(M), G's share of it is a square Gaussian, often ill
-    conditioned, so one CholeskyQR step conditions N between the passes."""
+    entry; each other entry takes the Householder path alone, whose Q1 is
+    orthonormal, so its second pass is left out.  Where N spans all of
+    null(M), G's share of it is a square Gaussian, often ill conditioned,
+    so one CholeskyQR step conditions N between the passes."""
     rows, cols = m.shape[-2:]
     if cols - rows < k:
         raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
     count, square = math.prod(m.shape[:-2]), 0 < k == cols - rows
     madds = matmul_madds(rows, cols, rows) + cholesky_madds(rows) + trtri_madds(rows)
-    madds += 4 * (matmul_madds(rows, cols, k) + matmul_madds(rows, rows, k))
+    madds += matmul_madds(cols, rows, rows) + matmul_madds(rows, rows, k)
+    madds += 4 * matmul_madds(rows, cols, k)
     if square:
         madds += 2 * matmul_madds(cols, k, k) + cholesky_madds(k) + trtri_madds(k)
     add_madds(count * madds)
@@ -151,31 +145,33 @@ def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
     fallback = np.flatnonzero(~(ratio >= math.sqrt(_ILL_CONDITIONING_TOL)))
     flat = low.reshape(count, rows, rows)
     if fallback.size:
-        q1, inv, ratio[fallback] = _householder(unit.reshape(count, rows, cols)[fallback])
-        flat[fallback] = 0.0  # their sketch comes from Q1 below
+        q1_house, inv, ratio[fallback] = _householder(unit.reshape(count, rows, cols)[fallback])
+        flat[fallback] = 0.0  # no second pass, and no NaN in Q1 below
+    q1 = unit.swapaxes(-1, -2) @ low.swapaxes(-1, -2)
+    if fallback.size:
+        q1.reshape(count, cols, rows)[fallback] = q1_house
     g, spare = seeded_rng(0, STREAM_NULL).standard_normal((cols, k)), None
     fwd, mid = np.empty((2, *m.shape[:-2], rows, k))
-    null = _projection(unit, low, g, fwd, mid)
+    null = q1 @ np.matmul(q1.swapaxes(-1, -2), g, out=fwd)
     np.subtract(g, null, out=null)
     if square:
         fix = _cholesky(null.swapaxes(-1, -2) @ null)
         _invert_lower(fix)
         fix[np.isnan(fix[..., 0, 0])] = np.eye(k)  # keep N where the factor failed
         spare, null = null, null @ fix.swapaxes(-1, -2)
-    null -= _projection(unit, low, null, fwd, mid, out=spare)
+    np.matmul(low, np.matmul(unit, null, out=fwd), out=mid)
+    null -= np.matmul(q1, mid, out=spare)
     if fallback.size:
-        add_madds(fallback.size * 2 * matmul_madds(cols, rows, k))
-        null.reshape(count, cols, k)[fallback] = g - q1 @ (q1.swapaxes(-1, -2) @ g)
         flat[fallback] = inv
-    return ProbeFactor(m=m, l_inv=np.ldexp(low, shift, out=low), null=null, ratio=ratio)
+    return ProbeFactor(q1=q1, l_inv=np.ldexp(low, shift, out=low), null=null, ratio=ratio)
 
 
 def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
-    """X = B M^+ = ((B M^T) L^{-T}) L^{-1} for wide, full-row-rank M, from the
+    """X = B M^+ = (B Q1) L^{-1} for wide, full-row-rank M, from the
     ProbeFactor `nullspace` returned for M.  A ratio sigma_min / sigma_max
     below _ILL_CONDITIONING_TOL raises IllConditionedProbeError, whose
     `index` is the flat position of the first such matrix in a stack."""
-    rows, cols = factor.m.shape[-2:]
+    cols, rows = factor.q1.shape[-2:]
     if b.shape[-1] != cols:
         raise DimensionError(f"column mismatch: B has {b.shape[-1]}, M is {rows} x {cols}")
     bad = np.flatnonzero(factor.ratio < _ILL_CONDITIONING_TOL)
@@ -184,13 +180,13 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
             f"probe matrix ({rows} x {cols}) is rank deficient within tolerance "
             f"{_ILL_CONDITIONING_TOL:g} (sigma_min/sigma_max = {factor.ratio[bad[0]]:.3e}); "
             "increase the probe count s",
-            index=int(bad[0]) if factor.m.ndim > 2 else None,
+            index=int(bad[0]) if factor.q1.ndim > 2 else None,
         )
     b_rows = b.shape[-2]
-    products = matmul_madds(b_rows, cols, rows) + 2 * matmul_madds(b_rows, rows, rows)
-    add_madds(math.prod(factor.m.shape[:-2]) * products)
-    x = b @ factor.m.swapaxes(-1, -2)
-    return np.matmul(x @ factor.l_inv.swapaxes(-1, -2), factor.l_inv, out=x)
+    products = matmul_madds(b_rows, cols, rows) + matmul_madds(b_rows, rows, rows)
+    add_madds(math.prod(factor.q1.shape[:-2]) * products)
+    x = b @ factor.q1
+    return np.matmul(x, factor.l_inv, out=x)
 
 
 def check_power_iters(iters: int) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.flops import count_madds, matmul_madds, qr_madds, svdvals_madds, trtri_madds
+from hbs.flops import count_madds, qr_madds, svdvals_madds, trtri_madds
 from hbs.linalg import (
     STREAM_NULL,
     col,
@@ -99,6 +99,14 @@ class TestCol:
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
 
 
+def conditioned(seed, rows, cols, kappa):
+    """A rows x cols matrix with singular values spread from 1 to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+    return (u * np.geomspace(1.0, 1.0 / kappa, rows)) @ v.T
+
+
 class TestNullspace:
     def test_coordinate_nullspace(self):
         b = np.array([[1.0, 0.0, 0.0]])
@@ -129,8 +137,10 @@ class TestNullspace:
     def test_sketch_of_the_whole_nullspace_is_conditioned(self):
         # nullity == k: a Gaussian G gives N = Z (Z^T G) with a square Z^T G,
         # often ill conditioned; one CholeskyQR step between the passes makes
-        # the sketch orthonormal up to roundoff
+        # the sketch orthonormal up to roundoff, also on entry 5, which is past
+        # the Gram bound's reach and takes the Householder path
         m = np.random.default_rng(18).standard_normal((64, 30, 45))
+        m[5] = conditioned(17, 30, 45, 1e7)
         z = nullspace(m, 15).null
         sig = np.linalg.svd(z, compute_uv=False)
         assert np.abs(sig - 1.0).max() <= 1e-8
@@ -301,14 +311,6 @@ class TestStacks:
         assert excinfo.value.index == 3
 
 
-    @staticmethod
-    def _conditioned(seed, rows, cols, kappa):
-        # a rows x cols matrix with singular values spread from 1 to 1/kappa
-        rng = np.random.default_rng(seed)
-        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
-        v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
-        return (u * np.geomspace(1.0, 1.0 / kappa, rows)) @ v.T
-
     def test_hard_entries_fall_back_one_by_one(self):
         # an exactly singular entry, a zero entry, one at kappa ~1e7 (past the
         # Gram bound's reach) and one at kappa ~1e12 (past the tolerance) in
@@ -319,8 +321,8 @@ class TestStacks:
         m = rng.standard_normal((6, rows, cols))
         m[1, 2] = 0.0
         m[2] = 0.0
-        m[3] = self._conditioned(54, rows, cols, 1e7)
-        m[4] = self._conditioned(55, rows, cols, 1e12)
+        m[3] = conditioned(54, rows, cols, 1e7)
+        m[4] = conditioned(55, rows, cols, 1e12)
         rhs = rng.standard_normal((6, 5, cols))
         factor = nullspace(m, k)
         for j in range(6):
@@ -350,10 +352,15 @@ class TestStacks:
                 lstsq_right(rhs, nullspace(gaussian, k))
             # the kappa ~1e7 entry alone takes the Householder path, whose
             # R1 bound certifies it without an SVD
-            householder = qr_madds(cols, rows) + trtri_madds(rows)
-            assert hard.madds - easy.madds == householder + 2 * matmul_madds(cols, rows, k)
+            assert hard.madds - easy.madds == qr_madds(cols, rows) + trtri_madds(rows)
             ref = np.linalg.lstsq(m[j].T, rhs[j].T, rcond=None)[0].T
             assert np.linalg.norm(x[j] - ref) <= 100 * eps * 1e7 * np.linalg.norm(ref)
+            # a consistent right-hand side C M comes back as C, as Householder
+            # solves it: normal equations through R1 would lose kappa^2 eps
+            c = rng.standard_normal((5, rows))
+            consistent = np.broadcast_to(c @ m[j], rhs.shape)
+            x_c = lstsq_right(consistent, nullspace(mixed, k))
+            assert np.linalg.norm(x_c[j] - c) <= 100 * eps * 1e7 * np.linalg.norm(c)
             for i in range(6):
                 assert np.array_equal(x[i], lstsq_right(rhs[i], nullspace(mixed[i], k)))
 
