@@ -5,18 +5,17 @@ against Gaussian test matrices of s columns each.  A level sweep over the
 block stacks that apply uses then recovers each level's bases by projecting
 its probes onto the nullspace of the nodes' own test rows (so the samples
 see only off-diagonal contributions), its discrepancy blocks from
-least-squares solves against the test rows that reuse the same Gram-matrix
-Cholesky factor, one probe side at a time, and lifts its samples into the
-parent level's test/sample stacks until the root core is solved directly.
+least-squares solves against the test rows that reuse the same factor, one
+probe side at a time, and lifts its samples into the parent level's
+test/sample stacks until the root core is solved directly.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, IllConditionedProbeError
+from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, check_integer
 from .factorization import HbsFactorization, fill_records, node_sizes
 from .flops import add_madds, matmul_madds
 from .linalg import STREAM_OMEGA, STREAM_PSI, col, gaussian_matrix, lstsq_right, nullspace
@@ -37,10 +36,8 @@ class CompressionConfig:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name == "probes" and value is None:
-                continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigurationError(f"{field.name} must be an integer, got {value!r}")
+            if value is not None or field.name != "probes":
+                check_integer(field.name, value)
 
     def validate_for(self, tree: ClusterTree) -> int:
         """Check feasibility against a concrete tree, which must be built
@@ -122,7 +119,7 @@ def _probe_side(test: np.ndarray, samples: np.ndarray, r: int):
     *stack, rows, probes = samples.shape
     add_madds(math.prod(stack) * matmul_madds(rows, probes, r))
     factor = nullspace(test, r)
-    return col(samples @ factor.null, r), lstsq_right(samples, factor)
+    return col(samples @ factor.null), lstsq_right(samples, factor)
 
 
 def compress_node_bases(ns: SampleSet, r: int):

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Every error the library raises is an `HbsError`.  Its class attributes
 `kind` and `exit_code` are the label the command line prints in front of the
 message and the status it exits with.  Each type also keeps a builtin base,
 so callers that catch `ValueError` or `RuntimeError` still catch it."""
+
+import numbers
 
 
 class HbsError(Exception):
@@ -31,6 +33,14 @@ class ConfigurationError(HbsError, ValueError):
     """A requested configuration cannot produce a valid compression run."""
 
     kind = "configuration error"
+
+
+def check_integer(name: str, value) -> int:
+    """`value` as an int; anything but an integer (a numpy integer counts, a
+    bool does not) raises ConfigurationError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class IllConditionedProbeError(HbsError, RuntimeError):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ResourceLimitError
+from .errors import DimensionError, FormatError, ResourceLimitError, check_integer
 from .flops import add_madds
 from .linalg import STREAM_SYNTHETIC, seeded_rng
 from .tree import ClusterTree
@@ -256,6 +256,7 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     the generator's own dense matrix.  One Gaussian draw per level fills its
     node records (`record_mask`), so blocks are drawn node by node.
     """
+    k, seed = check_integer("k", k), check_integer("seed", seed)
     if k < 0:
         raise DimensionError(f"block rank must be nonnegative, got {k}")
     if k > tree.min_leaf_size:

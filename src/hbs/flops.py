@@ -52,9 +52,10 @@ def cholesky_madds(n):
     return n**3 // 6
 
 
-def svdvals_madds(n):
-    """Singular values only of an n x n matrix (bidiagonalization dominates)."""
-    return 4 * n**3 // 3
+def svd_madds(m, n):
+    """Thin SVD of an m x n matrix with m >= n, with the m x n left and the
+    n x n right singular vectors (Golub-Reinsch)."""
+    return 7 * m * n * n + 4 * n**3
 
 
 def trtri_madds(n):

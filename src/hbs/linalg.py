@@ -1,6 +1,6 @@
 """Dense linear-algebra primitives: seeded Gaussian test matrices, QR column
-bases, the Cholesky probe factor of a wide test matrix (certified rank screen,
-per-entry Householder fallback) that gives a nullspace sketch and the
+bases, the CholeskyQR probe factor of a wide test matrix (certified rank
+screen, per-entry thin-SVD fallback) that gives a nullspace sketch and the
 pseudoinverse action by products, and a power-method norm estimator.
 
 All routines work on float64 ndarrays and are pure functions of their
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from .flops import add_madds, cholesky_madds, matmul_madds, qr_madds, svdvals_madds, trtri_madds
+from .flops import add_madds, cholesky_madds, matmul_madds, qr_madds, svd_madds, trtri_madds
 
 # Named substreams of a single user seed, so one seed reproduces a full run.
 STREAM_OMEGA = 0
@@ -50,39 +50,22 @@ def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
     return seeded_rng(seed, stream).standard_normal((n, s))
 
 
-def col(b: np.ndarray, k: int) -> np.ndarray:
-    """Return k orthonormal columns spanning the column space captured by an
-    unpivoted QR of `b` (safe here because callers only pass random-derived
-    matrices, for which leading columns are generic)."""
+def col(b: np.ndarray) -> np.ndarray:
+    """Return orthonormal columns spanning the column space of a tall `b`
+    (or stack), one per column, from an unpivoted QR (safe here because
+    callers only pass random-derived matrices, whose columns are generic)."""
     rows, cols = b.shape[-2:]
-    if k > min(rows, cols):
-        raise DimensionError(f"cannot extract {k} basis columns from a {rows} x {cols} matrix")
+    if cols > rows:
+        raise DimensionError(f"cannot extract {cols} basis columns from a {rows} x {cols} matrix")
     if not np.isfinite(b).all():
         raise NonFiniteError(f"{rows} x {cols} sample matrix holds non-finite entries")
     add_madds(math.prod(b.shape[:-2]) * qr_madds(rows, cols))
-    return np.linalg.qr(b)[0][..., :k]
+    return np.linalg.qr(b)[0]
 
 
-# The probe factor of a wide M (or stack): M^+ = Q1 L^{-1} with Q1 = M^T L^{-T},
-# L L^T = M M^T, or Householder's M^T = Q1 L^T on fallback entries.  `l_inv` is
-# L^{-1} (all inf where L is singular), `null` spans k columns of null(M),
+# The probe factor of a wide M (or stack), M^+ = Q1 F, and k columns `null` of null(M);
 # `ratio` (flat) bounds sigma_min / sigma_max below, exactly under the tolerance.
-ProbeFactor = namedtuple("ProbeFactor", "q1 l_inv null ratio")
-
-
-def _invert_lower(low: np.ndarray) -> np.ndarray:
-    """Invert each lower-triangular matrix of a C-ordered stack in place and
-    return 1 / (||L||_F ||L^{-1}||_F), flattened, a lower bound on its
-    sigma_min / sigma_max; an exactly singular entry becomes all inf, ratio 0."""
-    rows = low.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = np.sqrt(np.einsum("...ij,...ij->...", low, low))
-        # LAPACK in place on L^T, the Fortran view of a C-ordered entry: 3-5x a batched inv.
-        for entry in low.reshape(-1, rows, rows) if rows else ():
-            if dtrtri(entry.T, lower=0, overwrite_c=1)[1] > 0:  # a zero on the diagonal
-                entry.fill(np.inf)
-        ratio = np.ravel(1.0 / (norm * np.sqrt(np.einsum("...ij,...ij->...", low, low))))
-    return np.where(np.isnan(ratio), 0.0, ratio)
+ProbeFactor = namedtuple("ProbeFactor", "q1 inv null ratio")
 
 
 def _cholesky(gram: np.ndarray) -> np.ndarray:
@@ -97,77 +80,69 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
         return np.array(entries).reshape(gram.shape)
 
 
-def _householder(unit: np.ndarray):
-    """(Q1, L^{-1}, ratio) from a reduced QR M^T = Q1 R1 with L = R1^T, for the
-    entries the Gram matrix cannot certify.  Only those this bound cannot
-    certify either pay for a values-only SVD, of L^{-1}: its ratio is L's."""
-    count, rows, cols = unit.shape
-    add_madds(count * (qr_madds(cols, rows) + trtri_madds(rows)))
-    q1, r1 = np.linalg.qr(unit.swapaxes(-1, -2))
-    low = np.ascontiguousarray(r1.swapaxes(-1, -2))
-    ratio = _invert_lower(low)
-    doubt = [j for j in np.flatnonzero(ratio < _ILL_CONDITIONING_TOL) if np.isfinite(low[j]).all()]
-    if doubt:
-        add_madds(len(doubt) * svdvals_madds(rows))
-        sig = np.linalg.svd(low[doubt], compute_uv=False)
-        ratio[doubt] = sig[:, -1] / sig[:, 0]
-    return q1, low, ratio
+def _orthonormalize(a: np.ndarray):
+    """(Q, F, ratio) for a tall `a` (or stack): orthonormal Q with
+    (A^T)^+ = Q F, and a lower bound on each entry's sigma_min / sigma_max.
+
+    CholeskyQR, Q = A L^{-T} and F = L^{-1} with L L^T = A^T A, serves each
+    entry that 1 / (||L||_F ||L^{-1}||_F) >= sqrt(_ILL_CONDITIONING_TOL)
+    certifies.  Each other entry, a failed factor's too, takes a thin SVD
+    alone, A = W S X^T, so Q = W, F = S^{-1} X^T and its ratio is exact; F
+    is zero where that ratio is under the tolerance, so every F is finite."""
+    rows, cols = a.shape[-2:]
+    madds = 2 * matmul_madds(rows, cols, cols) + cholesky_madds(cols) + trtri_madds(cols)
+    add_madds(math.prod(a.shape[:-2]) * madds)
+    inv = _cholesky(a.swapaxes(-1, -2) @ a)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.sqrt(np.einsum("...ij,...ij->...", inv, inv))
+        # LAPACK in place on L^T, the Fortran view of a C-ordered entry: 3-5x a batched inv.
+        for entry in inv.reshape(-1, cols, cols) if cols else ():
+            dtrtri(entry.T, lower=0, overwrite_c=1)
+        ratio = np.ravel(1.0 / (norm * np.sqrt(np.einsum("...ij,...ij->...", inv, inv))))
+        q = a @ inv.swapaxes(-1, -2)
+        hard = np.flatnonzero(~(ratio >= math.sqrt(_ILL_CONDITIONING_TOL)))
+        if hard.size:
+            add_madds(hard.size * svd_madds(rows, cols))
+            w, sig, xt = np.linalg.svd(a.reshape(-1, rows, cols)[hard], full_matrices=False)
+            ratio[hard] = np.nan_to_num(sig[:, -1] / sig[:, 0])
+            q.reshape(-1, rows, cols)[hard] = w
+            fine = ratio[hard, None, None] >= _ILL_CONDITIONING_TOL
+            inv.reshape(-1, cols, cols)[hard] = np.where(fine, xt / sig[..., None], 0.0)
+    return q, inv, ratio
 
 
 def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
-    """Factor a wide `m` (or stack) through L = chol(M M^T) for `lstsq_right`
-    and sketch k columns of its nullspace, N = (I - Q1 Q1^T) G, projected
+    """Factor a wide `m` (or stack) as M^+ = Q1 F for `lstsq_right` and
+    sketch k columns of its nullspace, N = (I - Q1 Q1^T) G, projected
     twice, the second pass against M's own residual M N.  Each entry is
     scaled by a power of two first, so its Gram matrix stays in range.
 
-    1 / (||L||_F ||L^{-1}||_F) >= sqrt(_ILL_CONDITIONING_TOL) certifies an
-    entry; each other entry takes the Householder path alone, whose Q1 is
-    orthonormal, so its second pass is left out.  Where N spans all of
-    null(M), G's share of it is a square Gaussian, often ill conditioned,
-    so one CholeskyQR step conditions N between the passes."""
+    Where N spans all of null(M), G's share of it is a square Gaussian,
+    often ill conditioned, so N is orthonormalized between the passes."""
     rows, cols = m.shape[-2:]
     if cols - rows < k:
         raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
-    count, square = math.prod(m.shape[:-2]), 0 < k == cols - rows
-    madds = matmul_madds(rows, cols, rows) + cholesky_madds(rows) + trtri_madds(rows)
-    madds += matmul_madds(cols, rows, rows) + matmul_madds(rows, rows, k)
-    madds += 4 * matmul_madds(rows, cols, k)
-    if square:
-        madds += 2 * matmul_madds(cols, k, k) + cholesky_madds(k) + trtri_madds(k)
-    add_madds(count * madds)
+    count = math.prod(m.shape[:-2])
+    add_madds(count * (matmul_madds(rows, rows, k) + 4 * matmul_madds(rows, cols, k)))
     peak = np.maximum(m.max(axis=(-2, -1), initial=0.0), -m.min(axis=(-2, -1), initial=0.0))
     if not np.isfinite(peak).all():
         raise NonFiniteError(f"probe matrix ({rows} x {cols}) holds non-finite entries")
     shift = -np.asarray(np.frexp(peak)[1])[..., None, None]
     unit = np.ldexp(m, shift)
-    low = _cholesky(unit @ unit.swapaxes(-1, -2))
-    ratio = _invert_lower(low)
-    fallback = np.flatnonzero(~(ratio >= math.sqrt(_ILL_CONDITIONING_TOL)))
-    flat = low.reshape(count, rows, rows)
-    if fallback.size:
-        q1_house, inv, ratio[fallback] = _householder(unit.reshape(count, rows, cols)[fallback])
-        flat[fallback] = 0.0  # no second pass, and no NaN in Q1 below
-    q1 = unit.swapaxes(-1, -2) @ low.swapaxes(-1, -2)
-    if fallback.size:
-        q1.reshape(count, cols, rows)[fallback] = q1_house
+    q1, inv, ratio = _orthonormalize(unit.swapaxes(-1, -2))
     g, spare = seeded_rng(0, STREAM_NULL).standard_normal((cols, k)), None
     fwd, mid = np.empty((2, *m.shape[:-2], rows, k))
     null = q1 @ np.matmul(q1.swapaxes(-1, -2), g, out=fwd)
     np.subtract(g, null, out=null)
-    if square:
-        fix = _cholesky(null.swapaxes(-1, -2) @ null)
-        _invert_lower(fix)
-        fix[np.isnan(fix[..., 0, 0])] = np.eye(k)  # keep N where the factor failed
-        spare, null = null, null @ fix.swapaxes(-1, -2)
-    np.matmul(low, np.matmul(unit, null, out=fwd), out=mid)
+    if 0 < k == cols - rows:
+        spare, null = null, _orthonormalize(null)[0]
+    np.matmul(inv, np.matmul(unit, null, out=fwd), out=mid)
     null -= np.matmul(q1, mid, out=spare)
-    if fallback.size:
-        flat[fallback] = inv
-    return ProbeFactor(q1=q1, l_inv=np.ldexp(low, shift, out=low), null=null, ratio=ratio)
+    return ProbeFactor(q1=q1, inv=np.ldexp(inv, shift, out=inv), null=null, ratio=ratio)
 
 
 def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
-    """X = B M^+ = (B Q1) L^{-1} for wide, full-row-rank M, from the
+    """X = B M^+ = (B Q1) F for wide, full-row-rank M, from the
     ProbeFactor `nullspace` returned for M.  A ratio sigma_min / sigma_max
     below _ILL_CONDITIONING_TOL raises IllConditionedProbeError, whose
     `index` is the flat position of the first such matrix in a stack."""
@@ -186,7 +161,7 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
     products = matmul_madds(b_rows, cols, rows) + matmul_madds(b_rows, rows, rows)
     add_madds(math.prod(factor.q1.shape[:-2]) * products)
     x = b @ factor.q1
-    return np.matmul(x, factor.l_inv, out=x)
+    return np.matmul(x, factor.inv, out=x)
 
 
 def check_power_iters(iters: int) -> None:

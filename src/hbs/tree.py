@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, check_integer
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ def build_tree(n: int, leaf_threshold: int) -> ClusterTree:
     Every branch is split all the way to depth L, so leaf sizes differ by at
     most one; compression sweeps can then proceed level by level.
     """
+    n, leaf_threshold = check_integer("n", n), check_integer("leaf_threshold", leaf_threshold)
     if leaf_threshold < 2:
         raise ConfigurationError(f"leaf threshold must be at least 2, got {leaf_threshold}")
     if leaf_threshold >= n:

@@ -458,8 +458,8 @@ class TestCompress:
         # each probe side's solve reuses the factor of its basis, so each
         # omega and psi stack (one per level and leaf size) and the root omega
         # get one Cholesky factorization and no complete QR; with Gaussian
-        # probes the Gram bound certifies every entry, so no Householder
-        # fallback and no SVD runs at all
+        # probes the Gram bound certifies every entry, so no SVD fallback
+        # runs at all
         n, k, r, m = 333, 4, 8, 24
         tree = build_tree(n, m)
         a = to_dense(random_hbs(tree, k, seed=48))

@@ -258,6 +258,11 @@ class TestRandomHbs:
         with pytest.raises(ConfigurationError, match="seed"):
             random_hbs(build_tree(40, 5), 2, seed=-1)
 
+    def test_non_integer_rank_is_config_error(self):
+        # a float rank escaped as a bare TypeError
+        with pytest.raises(ConfigurationError, match="k must be an integer"):
+            random_hbs(build_tree(40, 5), 2.5, seed=0)
+
 
 class TestValidation:
     def test_rejects_non_orthonormal_basis(self):

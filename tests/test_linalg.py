@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.flops import count_madds, qr_madds, svdvals_madds, trtri_madds
+from hbs.flops import count_madds, svd_madds
 from hbs.linalg import (
     STREAM_NULL,
     col,
@@ -51,7 +51,7 @@ class TestGaussianMatrix:
 
 class TestCol:
     def test_identity_input(self):
-        q = col(np.eye(3), 2)
+        q = col(np.eye(3)[:, :2])
         assert q.shape == (3, 2)
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-13 * 2)
         # spans span(e1, e2): projecting e1, e2 onto range(q) is lossless
@@ -64,13 +64,13 @@ class TestCol:
         rng = np.random.default_rng(5)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
-        q = col(np.column_stack((u, 2.0 * u)), 1)
+        q = col(np.column_stack((u, 2.0 * u))[:, :1])
         assert np.linalg.norm(u - q @ (q.T @ u)) <= 1e-13
 
     def test_matches_full_qr_range(self):
         rng = np.random.default_rng(42)
         b = rng.standard_normal((50, 10))
-        q = col(b, 10)
+        q = col(b)
         # independent oracle: reduced QR captures the whole column space
         q_oracle, _ = np.linalg.qr(b)
         scale = np.linalg.norm(b)
@@ -80,22 +80,22 @@ class TestCol:
     def test_orthonormality_invariant(self):
         rng = np.random.default_rng(9)
         for rows, cols, k in ((5, 5, 3), (40, 12, 12), (8, 3, 1)):
-            q = col(rng.standard_normal((rows, cols)), k)
+            q = col(rng.standard_normal((rows, cols))[:, :k])
             assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
 
     def test_rejects_oversized_rank(self):
-        with pytest.raises(DimensionError):
-            col(np.eye(3), 4)
+        with pytest.raises(DimensionError, match="cannot extract 4 basis columns from a 3 x 4"):
+            col(np.eye(3, 4))
 
     def test_non_finite_input_raises_typed_error(self):
         b = np.ones((4, 2))
         b[1, 0] = np.nan
         with pytest.raises(NonFiniteError):
-            col(b, 2)
+            col(b)
 
     def test_huge_finite_input_is_orthonormalized(self):
         # entries near 1e301: the input is finite, so no norm of it is taken
-        q = col(2.0**1000 * gaussian_matrix(20, 5, seed=3), 5)
+        q = col(2.0**1000 * gaussian_matrix(20, 5, seed=3))
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
 
 
@@ -136,15 +136,24 @@ class TestNullspace:
 
     def test_sketch_of_the_whole_nullspace_is_conditioned(self):
         # nullity == k: a Gaussian G gives N = Z (Z^T G) with a square Z^T G,
-        # often ill conditioned; one CholeskyQR step between the passes makes
+        # often ill conditioned; orthonormalizing it between the passes makes
         # the sketch orthonormal up to roundoff, also on entry 5, which is past
-        # the Gram bound's reach and takes the Householder path
+        # the Gram bound's reach and takes the thin SVD
         m = np.random.default_rng(18).standard_normal((64, 30, 45))
         m[5] = conditioned(17, 30, 45, 1e7)
         z = nullspace(m, 15).null
         sig = np.linalg.svd(z, compute_uv=False)
         assert np.abs(sig - 1.0).max() <= 1e-8
         assert np.linalg.norm(m @ z) <= 1e-12 * np.linalg.norm(m)
+
+    def test_sketch_of_a_parent_level_stack_is_orthonormal(self):
+        # 8192 entries of 30 x 45, the parent level's shape at n=131072 with
+        # r=15: among that many square Gaussian factors some are conditioned
+        # badly enough that one CholeskyQR step would leave kappa^2 eps behind;
+        # the Gram bound hands those to the thin SVD
+        m = np.random.default_rng(0).standard_normal((8192, 30, 45))
+        sig = np.linalg.svd(nullspace(m, 15).null, compute_uv=False)
+        assert np.abs(sig - 1.0).max() <= 1e-7
 
     def test_sketch_survives_a_test_column_in_the_row_space(self):
         # the first column of the fixed G lies in M's row space, so its
@@ -224,9 +233,8 @@ class TestLstsqRight:
 
     def test_screen_defers_to_exact_ratio(self):
         # half the singular values at 1, half at 2e-10: the Gram matrix cannot
-        # certify M, and on the Householder fallback the Frobenius bound
-        # 1 / (||R1||_F ||R1^-1||_F) = 6.25e-12 cannot certify R1, but the
-        # exact ratio 2e-10 clears the 1e-10 tolerance, so the solve runs
+        # certify M, but the thin SVD's exact ratio 2e-10 clears the 1e-10
+        # tolerance, so the solve runs
         rng = np.random.default_rng(60)
         rows, cols, ratio = 64, 96, 2e-10
         sig = np.r_[np.ones(rows // 2), np.full(rows // 2, ratio)]
@@ -238,10 +246,8 @@ class TestLstsqRight:
             x = lstsq_right(b, nullspace(m, 0))
         with count_madds() as certified:
             lstsq_right(b, nullspace(gaussian_matrix(rows, cols, seed=61), 0))
-        # only the entry the Gram bound cannot certify pays for the Householder
-        # fallback, and only because its R1 bound cannot either for an SVD
-        fallback = qr_madds(cols, rows) + trtri_madds(rows) + svdvals_madds(rows)
-        assert doubtful.madds - certified.madds == fallback
+        # only the entry the Gram bound cannot certify pays for one thin SVD
+        assert doubtful.madds - certified.madds == svd_madds(cols, rows)
         ref = np.linalg.lstsq(m.T, b.T, rcond=None)[0].T
         # agreement within the roundoff bound scaled by the condition number
         eps = np.finfo(float).eps
@@ -265,13 +271,13 @@ class TestStacks:
         tall = rng.standard_normal((4, 15, 6))
         rhs = rng.standard_normal((4, 5, 15))
         with count_madds() as stacked:
-            factor, q = nullspace(wide, 5), col(tall, 6)
+            factor, q = nullspace(wide, 5), col(tall)
             x, x_null = lstsq_right(rhs, nullspace(wide, 0)), lstsq_right(rhs, factor)
         with count_madds() as single:
             for j in range(4):
                 factor_j = nullspace(wide[j], 5)
                 assert np.array_equal(factor.null[j], factor_j.null)
-                assert np.array_equal(q[j], col(tall[j], 6))
+                assert np.array_equal(q[j], col(tall[j]))
                 assert np.array_equal(x[j], lstsq_right(rhs[j], nullspace(wide[j], 0)))
                 assert np.array_equal(x_null[j], lstsq_right(rhs[j], factor_j))
         assert stacked.madds == single.madds
@@ -287,9 +293,9 @@ class TestStacks:
         assert excinfo.value.index == 3
 
     def test_exactly_singular_entry_is_reported(self):
-        # a zero row fails that entry's Cholesky factor and gives its
-        # Householder R1 an exact zero on the diagonal; its nullspace sketch
-        # still holds, and the solve reports it
+        # a zero row fails that entry's Cholesky factor and gives its thin SVD
+        # an exact zero singular value; its nullspace sketch still holds, and
+        # the solve reports it
         rng = np.random.default_rng(52)
         m = rng.standard_normal((5, 3, 9))
         m[2, 1] = 0.0
@@ -310,6 +316,24 @@ class TestStacks:
             lstsq_right(rng.standard_normal((5, 4, 9)), factor)
         assert excinfo.value.index == 3
 
+    def test_mixed_stack_factor_contract(self):
+        # Gaussian, kappa ~1e7, exactly singular and zero entries in one
+        # stack: every Q1 is orthonormal, and wherever the ratio clears the
+        # tolerance, Q1 F is M's pseudoinverse to the roundoff kappa eps
+        rows, cols, eps = 6, 20, np.finfo(float).eps
+        m = np.random.default_rng(56).standard_normal((6, rows, cols))
+        m[2] = conditioned(57, rows, cols, 1e7)
+        m[3, 4] = m[3, 1]
+        m[4] = 0.0
+        factor = nullspace(m, 4)
+        for j in range(6):
+            q1 = factor.q1[j]
+            assert np.linalg.norm(q1.T @ q1 - np.eye(rows)) <= 1e-12
+            if factor.ratio[j] >= 1e-10:
+                ref, kappa = np.linalg.pinv(m[j]), np.linalg.cond(m[j])
+                err = np.linalg.norm(q1 @ factor.inv[j] - ref)
+                assert err <= 100 * eps * kappa * np.linalg.norm(ref)
+        assert [j for j in range(6) if factor.ratio[j] < 1e-10] == [3, 4]
 
     def test_hard_entries_fall_back_one_by_one(self):
         # an exactly singular entry, a zero entry, one at kappa ~1e7 (past the
@@ -350,13 +374,12 @@ class TestStacks:
                 x = lstsq_right(rhs, nullspace(mixed, k))
             with count_madds() as easy:
                 lstsq_right(rhs, nullspace(gaussian, k))
-            # the kappa ~1e7 entry alone takes the Householder path, whose
-            # R1 bound certifies it without an SVD
-            assert hard.madds - easy.madds == qr_madds(cols, rows) + trtri_madds(rows)
+            # the kappa ~1e7 entry alone takes the thin SVD
+            assert hard.madds - easy.madds == svd_madds(cols, rows)
             ref = np.linalg.lstsq(m[j].T, rhs[j].T, rcond=None)[0].T
             assert np.linalg.norm(x[j] - ref) <= 100 * eps * 1e7 * np.linalg.norm(ref)
-            # a consistent right-hand side C M comes back as C, as Householder
-            # solves it: normal equations through R1 would lose kappa^2 eps
+            # a consistent right-hand side C M comes back as C, as the SVD
+            # solves it: normal equations would lose kappa^2 eps
             c = rng.standard_normal((5, rows))
             consistent = np.broadcast_to(c @ m[j], rhs.shape)
             x_c = lstsq_right(consistent, nullspace(mixed, k))

@@ -1,5 +1,6 @@
 """Tests for the binary index tree."""
 
+import numpy as np
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError
@@ -60,6 +61,17 @@ class TestBuildTree:
             build_tree(1, 2)
         with pytest.raises(ConfigurationError):
             build_tree(10, 1)
+
+    @pytest.mark.parametrize("n, leaf", [(100.0, 10), (100, 10.5)], ids=["float-n", "float-leaf"])
+    def test_non_integer_argument_is_config_error(self, n, leaf):
+        # a float n escaped as a bare TypeError; a float threshold built a tree
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            build_tree(n, leaf)
+
+    def test_numpy_integers_are_accepted(self):
+        tree = build_tree(np.int64(100), np.int32(10))
+        assert tree == build_tree(100, 10)
+        assert all(type(x) is int for x in (tree.n, tree.leaf_threshold, *tree.offsets))
 
 
 class TestRealRows:
