@@ -10,14 +10,19 @@ probe side at a time, and lifts its samples into the parent level's
 test/sample stacks until the root core is solved directly.
 """
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, check_integer
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    IllConditionedProbeError,
+    NonFiniteError,
+    check_integer,
+)
 from .factorization import HbsFactorization, fill_records, node_sizes
-from .flops import add_madds, matmul_madds
+from .flops import add_madds, matmul
 from .linalg import STREAM_OMEGA, STREAM_PSI, col, gaussian_matrix, lstsq_right, nullspace
 from .oracle import MatVecOracle
 from .tree import ClusterTree, build_tree
@@ -84,6 +89,9 @@ class SampleSet:
         shapes = {a.shape for a in arrays}
         if len(shapes) != 1:
             raise DimensionError(f"sample matrices must share one shape, got {shapes}")
+        if any(a.dtype.kind not in "biuf" for a in arrays):
+            dtypes = sorted({str(a.dtype) for a in arrays})
+            raise DimensionError(f"sample matrices must be real, got dtypes {dtypes}")
 
     def map(self, fn) -> "SampleSet":
         """The quadruple with `fn` applied to each of its four arrays."""
@@ -116,10 +124,8 @@ def _probe_side(test: np.ndarray, samples: np.ndarray, r: int):
     """One probe side of a node stack: factor the test rows once, take an
     r-column basis of the samples projected onto their nullspace, and solve
     samples @ test^+ from the same factor, which is dropped on return."""
-    *stack, rows, probes = samples.shape
-    add_madds(math.prod(stack) * matmul_madds(rows, probes, r))
     factor = nullspace(test, r)
-    return col(samples @ factor.null), lstsq_right(samples, factor)
+    return col(matmul(samples, factor.null)), lstsq_right(samples, factor)
 
 
 def compress_node_bases(ns: SampleSet, r: int):
@@ -146,14 +152,11 @@ def compute_discrepancy(u, v, left, right) -> np.ndarray:
     the transposed ones: D = L + U (R - U^T L) with R = U^T (Z Psi^+)^T (I - V V^T),
     formed in L's storage from r-row products and one full-size product.
     """
-    rows, r = u.shape[-2:]
-    per_node = 3 * matmul_madds(r, rows, rows) + 2 * matmul_madds(r, r, rows)
-    add_madds(math.prod(u.shape[:-2]) * per_node)
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    right = ut @ right.swapaxes(-1, -2)
-    right -= (right @ v) @ vt
-    right -= ut @ left
-    left += u @ right
+    right = matmul(ut, right.swapaxes(-1, -2))
+    right -= matmul(matmul(right, v), vt)
+    right -= matmul(ut, left)
+    left += matmul(u, right)
     return left
 
 
@@ -186,12 +189,21 @@ def compute_root(ns: SampleSet) -> np.ndarray:
     return lstsq_right(ns.y, nullspace(ns.omega, 0))
 
 
+def _out_of_range(kind, flag=None):
+    """numpy's floating-point error callback in the sweep."""
+    raise NonFiniteError(f"{kind} in the level sweep: the samples leave floating-point range")
+
+
+@np.errstate(over="call", invalid="call", call=_out_of_range)
 def compress_from_samples(
     samples: SampleSet, tree: ClusterTree, config: CompressionConfig
 ) -> HbsFactorization:
     """Run the level sweep on an already-drawn sample quadruple (the
     post-sampling arithmetic; touches no oracle).  Each level is one stack
     per node size, on real rows only: padded rows make omega rank deficient.
+    Samples out of floating-point range raise NonFiniteError: at numpy's
+    first overflow or invalid operation in the sweep, or, for what LAPACK
+    does not flag, at a non-finite block in the result.
     """
     if samples.omega.ndim != 2:
         raise DimensionError(f"samples must be n x s matrices, got shape {samples.omega.shape}")
@@ -225,6 +237,8 @@ def compress_from_samples(
         f.root_disc[...] = compute_root(stack[0])
     except IllConditionedProbeError as exc:
         raise _at_node(exc, 0, 0) from exc
+    if not all(np.isfinite(b).all() for b in (*f.U[1:], *f.V[1:], *f.D[1:], f.root_disc)):
+        _out_of_range("non-finite blocks")
     return f
 
 

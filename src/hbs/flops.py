@@ -1,14 +1,18 @@
 """Multiply-add accounting for machine-independent cost checks.
 
-Arithmetic cost is tracked as nominal scalar multiply-adds, derived from
-operand shapes with textbook operation counts.  Counting is off unless a
-`count_madds()` context is active, so production paths pay one context-var
-lookup per tracked call.
+Arithmetic cost is tracked as nominal scalar multiply-adds.  Each matrix
+product counts itself where it runs, through `matmul`; LAPACK calls add
+textbook counts for their operand shapes.  `compress.lift_to_parent` and
+`factorization.apply_matrix` keep a model: they run on zero-padded stacks
+and count real rows only.  Counting is off unless a `count_madds()` context
+is active, so production paths pay one context-var lookup per tracked call.
 """
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -36,9 +40,12 @@ def add_madds(n):
         counter.madds += int(n)
 
 
-def matmul_madds(m, k, n):
-    """(m x k) @ (k x n)."""
-    return m * k * n
+def matmul(a, b, out=None):
+    """`np.matmul(a, b, out=out)`, counting m k n madds for each (m x k) @
+    (k x n) product of the broadcast stack."""
+    c = np.matmul(a, b, out=out)
+    add_madds(c.size * a.shape[-1])
+    return c
 
 
 def qr_madds(m, n):

@@ -14,8 +14,14 @@ from collections import namedtuple
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from .flops import add_madds, cholesky_madds, matmul_madds, qr_madds, svd_madds, trtri_madds
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    IllConditionedProbeError,
+    NonFiniteError,
+    check_integer,
+)
+from .flops import add_madds, cholesky_madds, matmul, qr_madds, svd_madds, trtri_madds
 
 # Named substreams of a single user seed, so one seed reproduces a full run.
 STREAM_OMEGA = 0
@@ -34,6 +40,7 @@ _ILL_CONDITIONING_TOL = 1e-10
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     """The generator of named substream `stream` of a user seed."""
+    seed = check_integer("seed", seed)
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
@@ -45,6 +52,7 @@ def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
     `stream` selects a decorrelated substream of `seed`; the same
     (n, s, seed, stream) always yields the same matrix.
     """
+    n, s = check_integer("n", n), check_integer("s", s)
     if n < 1 or s < 1:
         raise DimensionError(f"gaussian_matrix needs positive dimensions, got {n} x {s}")
     return seeded_rng(seed, stream).standard_normal((n, s))
@@ -90,16 +98,15 @@ def _orthonormalize(a: np.ndarray):
     alone, A = W S X^T, so Q = W, F = S^{-1} X^T and its ratio is exact; F
     is zero where that ratio is under the tolerance, so every F is finite."""
     rows, cols = a.shape[-2:]
-    madds = 2 * matmul_madds(rows, cols, cols) + cholesky_madds(cols) + trtri_madds(cols)
-    add_madds(math.prod(a.shape[:-2]) * madds)
-    inv = _cholesky(a.swapaxes(-1, -2) @ a)
+    add_madds(math.prod(a.shape[:-2]) * (cholesky_madds(cols) + trtri_madds(cols)))
+    inv = _cholesky(matmul(a.swapaxes(-1, -2), a))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         norm = np.sqrt(np.einsum("...ij,...ij->...", inv, inv))
         # LAPACK in place on L^T, the Fortran view of a C-ordered entry: 3-5x a batched inv.
         for entry in inv.reshape(-1, cols, cols) if cols else ():
             dtrtri(entry.T, lower=0, overwrite_c=1)
         ratio = np.ravel(1.0 / (norm * np.sqrt(np.einsum("...ij,...ij->...", inv, inv))))
-        q = a @ inv.swapaxes(-1, -2)
+        q = matmul(a, inv.swapaxes(-1, -2))
         hard = np.flatnonzero(~(ratio >= math.sqrt(_ILL_CONDITIONING_TOL)))
         if hard.size:
             add_madds(hard.size * svd_madds(rows, cols))
@@ -122,8 +129,6 @@ def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
     rows, cols = m.shape[-2:]
     if cols - rows < k:
         raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
-    count = math.prod(m.shape[:-2])
-    add_madds(count * (matmul_madds(rows, rows, k) + 4 * matmul_madds(rows, cols, k)))
     peak = np.maximum(m.max(axis=(-2, -1), initial=0.0), -m.min(axis=(-2, -1), initial=0.0))
     if not np.isfinite(peak).all():
         raise NonFiniteError(f"probe matrix ({rows} x {cols}) holds non-finite entries")
@@ -132,12 +137,12 @@ def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
     q1, inv, ratio = _orthonormalize(unit.swapaxes(-1, -2))
     g, spare = seeded_rng(0, STREAM_NULL).standard_normal((cols, k)), None
     fwd, mid = np.empty((2, *m.shape[:-2], rows, k))
-    null = q1 @ np.matmul(q1.swapaxes(-1, -2), g, out=fwd)
+    null = matmul(q1, matmul(q1.swapaxes(-1, -2), g, out=fwd))
     np.subtract(g, null, out=null)
     if 0 < k == cols - rows:
         spare, null = null, _orthonormalize(null)[0]
-    np.matmul(inv, np.matmul(unit, null, out=fwd), out=mid)
-    null -= np.matmul(q1, mid, out=spare)
+    matmul(inv, matmul(unit, null, out=fwd), out=mid)
+    null -= matmul(q1, mid, out=spare)
     return ProbeFactor(q1=q1, inv=np.ldexp(inv, shift, out=inv), null=null, ratio=ratio)
 
 
@@ -157,11 +162,8 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
             "increase the probe count s",
             index=int(bad[0]) if factor.q1.ndim > 2 else None,
         )
-    b_rows = b.shape[-2]
-    products = matmul_madds(b_rows, cols, rows) + matmul_madds(b_rows, rows, rows)
-    add_madds(math.prod(factor.q1.shape[:-2]) * products)
-    x = b @ factor.q1
-    return np.matmul(x, factor.inv, out=x)
+    x = matmul(b, factor.q1)
+    return matmul(x, factor.inv, out=x)
 
 
 def check_power_iters(iters: int) -> None:

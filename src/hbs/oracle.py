@@ -36,10 +36,13 @@ class MatVecOracle:
         if x.ndim != 2 or x.shape[0] != self.n:
             raise DimensionError(f"oracle expects {self.n} x c input, got shape {x.shape}")
         start = time.perf_counter()
-        y = np.asarray(fn(x), dtype=np.float64)
+        y = np.asarray(fn(x))
         elapsed = time.perf_counter() - start
         if y.shape != x.shape:
             raise DimensionError(f"oracle product returned shape {y.shape}, expected {x.shape}")
+        if np.iscomplexobj(y):
+            raise DimensionError(f"oracle {direction} product is complex, not real")
+        y = np.asarray(y, dtype=np.float64)
         if not np.isfinite(y).all():
             raise NonFiniteError(f"oracle {direction} product returned NaN or infinite entries")
         with self._lock:

@@ -1,5 +1,7 @@
 """Tests for the randomized compressor, stage by stage against dense oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,7 @@ from hbs.compress import (
     draw_samples,
     lift_to_parent,
 )
-from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError
+from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from hbs.factorization import random_hbs, to_dense
 from hbs.flops import count_madds
 from hbs.linalg import gaussian_matrix, lstsq_right, nullspace
@@ -82,6 +84,15 @@ class TestDrawSamples:
         oracle = dense_oracle(np.diag(d))
         samples = draw_samples(oracle, 4, seed=1)
         np.testing.assert_allclose(samples.y, d[:, None] * samples.omega)
+
+    @pytest.mark.parametrize(
+        "s, seed", [(2.5, 0), (5, 1.5), (True, 0)], ids=["float-s", "float-seed", "bool-s"]
+    )
+    def test_non_integer_probe_count_or_seed_is_config_error(self, s, seed):
+        # a float would otherwise escape as numpy's or SeedSequence's TypeError,
+        # and True would draw one column
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            draw_samples(dense_oracle(np.eye(64)), s, seed)
 
 
 class TestLeafNodeSamples:
@@ -580,6 +591,29 @@ class TestInputChecks:
         a = np.zeros((8, 4))
         with pytest.raises(DimensionError, match="must share one shape"):
             SampleSet(omega=a, psi=a, y=a, z=np.zeros((8, 5)))
+
+    @pytest.mark.parametrize(
+        "field, peak, error",
+        [("y", None, DimensionError), ("y", np.inf, NonFiniteError),
+         ("y", 1e308, NonFiniteError), ("z", 1e308, NonFiniteError), ("y", 1e307, NonFiniteError)],
+        ids=["complex", "infinite-row", "overflow-y", "overflow-z", "overflow-in-lapack"],
+    )
+    def test_samples_out_of_range_raise_typed_errors(self, field, peak, error):
+        # under filterwarnings = error numpy's overflow and invalid-value
+        # warnings would escape untyped; at 1e307 the overflow happens inside
+        # a QR, which raises no warning and left NaN blocks in the result
+        tree = build_tree(256, 16)
+        samples = sample_dense(np.random.default_rng(1).standard_normal((256, 256)), 28, seed=0)
+        a = getattr(samples, field)
+        if peak is None:
+            a = a + 0j
+        elif np.isinf(peak):
+            a = a.copy()
+            a[0] = peak
+        else:
+            a = a * (peak / np.abs(a).max())
+        with pytest.raises(error):
+            compress_from_samples(replace(samples, **{field: a}), tree, CompressionConfig(4, 16))
 
     def test_sample_matrices_must_be_arrays(self):
         # an array-like has no .shape; it is a typed error, not an AttributeError

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.flops import count_madds, svd_madds
+from hbs.flops import count_madds, matmul, svd_madds
 from hbs.linalg import (
     STREAM_NULL,
     col,
@@ -18,6 +18,15 @@ from hbs.linalg import (
 # Frozen regression values for the committed generator (seed 7, stream 0).
 FROZEN_GAUSS_MEAN = -0.01581890868143026
 FROZEN_GAUSS_VAR = 0.9942184780399852
+
+
+def test_matmul_counts_each_product_of_a_broadcast_stack():
+    a, b = np.ones((3, 1, 4, 5)), np.ones((2, 5, 6))
+    with count_madds() as counter:
+        c = matmul(a, b)
+    np.testing.assert_array_equal(c, np.matmul(a, b))
+    assert counter.madds == 3 * 2 * (4 * 5 * 6)
+    assert matmul(a, b, out=c) is c
 
 
 class TestGaussianMatrix:
@@ -428,3 +437,8 @@ class TestPowerMethodRelnorm:
         ident = lambda x: x
         with pytest.raises(ConfigurationError, match="power iterations must be positive, got 0"):
             power_method_relnorm(ident, ident, ident, ident, 4, iters=0)
+
+    def test_rejects_non_integer_seed(self):
+        ident = lambda x: x
+        with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
+            power_method_relnorm(ident, ident, ident, ident, 4, seed=1.5)

@@ -70,6 +70,15 @@ class TestDenseOracle:
             oracle.apply_batch(np.ones((4, 1)))
         assert oracle.matvec_count == (0, 0)  # failed calls do not count
 
+    def test_rejects_complex_product(self):
+        # casting to float64 would drop the imaginary part with only a warning
+        from hbs.oracle import MatVecOracle
+
+        oracle = MatVecOracle(4, lambda x: x * (1 + 1j), lambda x: x)
+        with pytest.raises(DimensionError, match="forward product is complex"):
+            oracle.apply_batch(np.ones((4, 1)))
+        assert oracle.matvec_count == (0, 0)
+
     def test_rejects_non_finite_product(self):
         from hbs.errors import NonFiniteError
         from hbs.oracle import MatVecOracle

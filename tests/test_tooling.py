@@ -70,6 +70,38 @@ def test_every_benchmark_library_name_resolves():
         assert name in names, f"{RUN.name} reads {what}.{name}, which is gone"
 
 
+def test_benchmark_power_iterations_match_the_library_default():
+    # run.py keeps its own POWER_ITERS beside hbs.linalg's; read as source, like
+    # the test above, so the two cannot drift apart unseen
+    values = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(RUN.read_text(), str(RUN)).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "POWER_ITERS"
+    ]
+    assert values == [hbs.linalg.POWER_ITERS]
+
+
+def test_every_product_in_the_sweep_is_counted():
+    # flops.matmul counts each product's madds where it runs; an `@` or a
+    # np.matmul in the sweep's kernels would run uncounted.  lift_to_parent
+    # works on zero-padded stacks and counts real rows by a model instead.
+    found, counted = [], 0
+    for path in (SRC / "linalg.py", SRC / "compress.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        lift = [node for node in ast.walk(tree) if getattr(node, "name", "") == "lift_to_parent"]
+        exempt = {id(node) for function in lift for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "matmul":
+                counted += 1
+            if id(node) in exempt:
+                continue
+            at_sign = isinstance(getattr(node, "op", None), ast.MatMult)  # `a @ b`, `a @= b`
+            if at_sign or isinstance(node, ast.Attribute) and ast.unparse(node) == "np.matmul":
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"products that flops.matmul does not count: {found}"
+    assert counted >= 10, f"scan found only {counted} counted products"
+
+
 def test_no_assert_in_library():
     # `python -O` strips assert statements, so no check in the library may be one
     found = [
