@@ -20,6 +20,8 @@ from .errors import (
     IllConditionedProbeError,
     NonFiniteError,
     check_integer,
+    check_real,
+    check_seed,
 )
 from .factorization import HbsFactorization, fill_records, node_sizes
 from .flops import add_madds, matmul
@@ -53,8 +55,7 @@ class CompressionConfig:
             )
         if self.rank < 1:
             raise ConfigurationError(f"rank must be positive, got {self.rank}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
         if tree.min_leaf_size < self.rank:
             raise ConfigurationError(
                 f"smallest leaf has {tree.min_leaf_size} rows < rank {self.rank}; "
@@ -89,9 +90,8 @@ class SampleSet:
         shapes = {a.shape for a in arrays}
         if len(shapes) != 1:
             raise DimensionError(f"sample matrices must share one shape, got {shapes}")
-        if any(a.dtype.kind not in "biuf" for a in arrays):
-            dtypes = sorted({str(a.dtype) for a in arrays})
-            raise DimensionError(f"sample matrices must be real, got dtypes {dtypes}")
+        for name, a in zip(("omega", "psi", "y", "z"), arrays):
+            check_real(f"sample matrix {name}", a)
 
     def map(self, fn) -> "SampleSet":
         """The quadruple with `fn` applied to each of its four arrays."""

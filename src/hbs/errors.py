@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, and its integer, seed and
+real-array checks.
 
 Every error the library raises is an `HbsError`.  Its class attributes
 `kind` and `exit_code` are the label the command line prints in front of the
@@ -6,6 +7,8 @@ message and the status it exits with.  Each type also keeps a builtin base,
 so callers that catch `ValueError` or `RuntimeError` still catch it."""
 
 import numbers
+
+import numpy as np
 
 
 class HbsError(Exception):
@@ -41,6 +44,24 @@ def check_integer(name: str, value) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_seed(seed) -> int:
+    """`seed` as an int; a non-integer or negative seed raises ConfigurationError."""
+    seed = check_integer("seed", seed)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def check_real(name: str, a) -> np.ndarray:
+    """`a` as a float64 array; a dtype other than bool, integer or float
+    (complex, string, object) raises DimensionError.  A dtype test only: no
+    pass over the data."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise DimensionError(f"{name} is {a.dtype}, not real")
+    return a.astype(np.float64, copy=False)
 
 
 class IllConditionedProbeError(HbsError, RuntimeError):

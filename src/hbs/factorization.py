@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ResourceLimitError, check_integer
+from .errors import DimensionError, FormatError, ResourceLimitError, check_integer, check_real
 from .flops import add_madds
 from .linalg import STREAM_SYNTHETIC, seeded_rng
 from .tree import ClusterTree
@@ -170,7 +170,7 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     column bases while discrepancy blocks re-inject what the bases miss:
     one stacked product per level and pass, one madd per stored float and column.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = check_real("apply input", q)
     if q.ndim != 2 or q.shape[0] != f.n:
         raise DimensionError(f"expected a {f.n} x c matrix, got array of shape {q.shape}")
     tree, r, depth = f.tree, f.rank, f.tree.depth
@@ -201,7 +201,7 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
 
 def _column(f: HbsFactorization, q) -> np.ndarray:
     """One vector as an n x 1 matrix, after checking its shape."""
-    q = np.asarray(q, dtype=np.float64)
+    q = check_real("apply input", q)
     if q.ndim != 1 or q.shape[0] != f.n:
         raise DimensionError(f"expected a length-{f.n} vector, got array of shape {q.shape}")
     return q[:, None]

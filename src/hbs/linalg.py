@@ -20,6 +20,7 @@ from .errors import (
     IllConditionedProbeError,
     NonFiniteError,
     check_integer,
+    check_seed,
 )
 from .flops import add_madds, cholesky_madds, matmul, qr_madds, svd_madds, trtri_madds
 
@@ -40,9 +41,7 @@ _ILL_CONDITIONING_TOL = 1e-10
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     """The generator of named substream `stream` of a user seed."""
-    seed = check_integer("seed", seed)
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    seed = check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
@@ -58,6 +57,17 @@ def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
     return seeded_rng(seed, stream).standard_normal((n, s))
 
 
+def _unit(m: np.ndarray, what: str):
+    """The one way into LAPACK: (U, shift), U = M 2^shift with each entry's
+    peak brought into [1/2, 1), which keeps its Gram matrix and QR in range
+    and leaves Q's bits alone; a non-finite entry raises NonFiniteError."""
+    peak = np.maximum(m.max(axis=(-2, -1), initial=0.0), -m.min(axis=(-2, -1), initial=0.0))
+    if not np.isfinite(peak).all():
+        raise NonFiniteError(f"{what} ({m.shape[-2]} x {m.shape[-1]}) holds non-finite entries")
+    shift = -np.asarray(np.frexp(peak)[1])[..., None, None]
+    return np.ldexp(m, shift), shift
+
+
 def col(b: np.ndarray) -> np.ndarray:
     """Return orthonormal columns spanning the column space of a tall `b`
     (or stack), one per column, from an unpivoted QR (safe here because
@@ -65,10 +75,8 @@ def col(b: np.ndarray) -> np.ndarray:
     rows, cols = b.shape[-2:]
     if cols > rows:
         raise DimensionError(f"cannot extract {cols} basis columns from a {rows} x {cols} matrix")
-    if not np.isfinite(b).all():
-        raise NonFiniteError(f"{rows} x {cols} sample matrix holds non-finite entries")
     add_madds(math.prod(b.shape[:-2]) * qr_madds(rows, cols))
-    return np.linalg.qr(b)[0]
+    return np.linalg.qr(_unit(b, "sample matrix")[0])[0]
 
 
 # The probe factor of a wide M (or stack), M^+ = Q1 F, and k columns `null` of null(M);
@@ -121,28 +129,20 @@ def _orthonormalize(a: np.ndarray):
 def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
     """Factor a wide `m` (or stack) as M^+ = Q1 F for `lstsq_right` and
     sketch k columns of its nullspace, N = (I - Q1 Q1^T) G, projected
-    twice, the second pass against M's own residual M N.  Each entry is
-    scaled by a power of two first, so its Gram matrix stays in range.
+    twice, the second pass against M's own residual M N.
 
     Where N spans all of null(M), G's share of it is a square Gaussian,
     often ill conditioned, so N is orthonormalized between the passes."""
     rows, cols = m.shape[-2:]
     if cols - rows < k:
         raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
-    peak = np.maximum(m.max(axis=(-2, -1), initial=0.0), -m.min(axis=(-2, -1), initial=0.0))
-    if not np.isfinite(peak).all():
-        raise NonFiniteError(f"probe matrix ({rows} x {cols}) holds non-finite entries")
-    shift = -np.asarray(np.frexp(peak)[1])[..., None, None]
-    unit = np.ldexp(m, shift)
+    unit, shift = _unit(m, "probe matrix")
     q1, inv, ratio = _orthonormalize(unit.swapaxes(-1, -2))
-    g, spare = seeded_rng(0, STREAM_NULL).standard_normal((cols, k)), None
-    fwd, mid = np.empty((2, *m.shape[:-2], rows, k))
-    null = matmul(q1, matmul(q1.swapaxes(-1, -2), g, out=fwd))
-    np.subtract(g, null, out=null)
+    g = seeded_rng(0, STREAM_NULL).standard_normal((cols, k))
+    null = g - matmul(q1, matmul(q1.swapaxes(-1, -2), g))
     if 0 < k == cols - rows:
-        spare, null = null, _orthonormalize(null)[0]
-    matmul(inv, matmul(unit, null, out=fwd), out=mid)
-    null -= matmul(q1, mid, out=spare)
+        null = _orthonormalize(null)[0]
+    null -= matmul(q1, matmul(inv, matmul(unit, null)))
     return ProbeFactor(q1=q1, inv=np.ldexp(inv, shift, out=inv), null=null, ratio=ratio)
 
 
@@ -162,8 +162,7 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
             "increase the probe count s",
             index=int(bad[0]) if factor.q1.ndim > 2 else None,
         )
-    x = matmul(b, factor.q1)
-    return matmul(x, factor.inv, out=x)
+    return matmul(matmul(b, factor.q1), factor.inv)
 
 
 def check_power_iters(iters: int) -> None:

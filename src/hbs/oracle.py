@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, NonFiniteError, check_real
 
 
 class MatVecOracle:
@@ -32,7 +32,7 @@ class MatVecOracle:
         self._seconds = 0.0
 
     def _run(self, fn, x, direction):
-        x = np.asarray(x, dtype=np.float64)
+        x = check_real("oracle input", x)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise DimensionError(f"oracle expects {self.n} x c input, got shape {x.shape}")
         start = time.perf_counter()
@@ -40,9 +40,7 @@ class MatVecOracle:
         elapsed = time.perf_counter() - start
         if y.shape != x.shape:
             raise DimensionError(f"oracle product returned shape {y.shape}, expected {x.shape}")
-        if np.iscomplexobj(y):
-            raise DimensionError(f"oracle {direction} product is complex, not real")
-        y = np.asarray(y, dtype=np.float64)
+        y = check_real(f"oracle {direction} product", y)
         if not np.isfinite(y).all():
             raise NonFiniteError(f"oracle {direction} product returned NaN or infinite entries")
         with self._lock:

@@ -592,19 +592,31 @@ class TestInputChecks:
         with pytest.raises(DimensionError, match="must share one shape"):
             SampleSet(omega=a, psi=a, y=a, z=np.zeros((8, 5)))
 
+    SAMPLES = sample_dense(np.random.default_rng(1).standard_normal((256, 256)), 28, seed=0)
+
+    @staticmethod
+    def compress_or_nonfinite(samples):
+        """The factorization of finite samples, with no non-finite block, or
+        None where they raise NonFiniteError."""
+        try:
+            f = compress_from_samples(samples, build_tree(256, 16), CompressionConfig(4, 16))
+        except NonFiniteError:
+            return None
+        assert all(np.isfinite(b).all() for b in (*f.U[1:], *f.V[1:], *f.D[1:], f.root_disc))
+        return f
+
     @pytest.mark.parametrize(
         "field, peak, error",
         [("y", None, DimensionError), ("y", np.inf, NonFiniteError),
-         ("y", 1e308, NonFiniteError), ("z", 1e308, NonFiniteError), ("y", 1e307, NonFiniteError)],
+         ("y", 1e308, NonFiniteError), ("z", 1e308, NonFiniteError), ("y", 1e307, None)],
         ids=["complex", "infinite-row", "overflow-y", "overflow-z", "overflow-in-lapack"],
     )
     def test_samples_out_of_range_raise_typed_errors(self, field, peak, error):
         # under filterwarnings = error numpy's overflow and invalid-value
-        # warnings would escape untyped; at 1e307 the overflow happens inside
-        # a QR, which raises no warning and left NaN blocks in the result
-        tree = build_tree(256, 16)
-        samples = sample_dense(np.random.default_rng(1).standard_normal((256, 256)), 28, seed=0)
-        a = getattr(samples, field)
+        # warnings would escape untyped.  At 1e307 the samples are finite, so
+        # the contract for finite samples applies (error None); col's QR, which
+        # would overflow without a warning, sees them scaled
+        a = getattr(self.SAMPLES, field)
         if peak is None:
             a = a + 0j
         elif np.isinf(peak):
@@ -612,8 +624,27 @@ class TestInputChecks:
             a[0] = peak
         else:
             a = a * (peak / np.abs(a).max())
+        if error is None:
+            self.compress_or_nonfinite(replace(self.SAMPLES, **{field: a}))
+            return
         with pytest.raises(error):
-            compress_from_samples(replace(samples, **{field: a}), tree, CompressionConfig(4, 16))
+            samples = replace(self.SAMPLES, **{field: a})
+            compress_from_samples(samples, build_tree(256, 16), CompressionConfig(4, 16))
+
+    @pytest.mark.parametrize("peak", [1e300, 1e305, 1e306, 1e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize(
+        "fields", [("y",), ("z",), ("omega",), ("psi",), ("y", "z")], ids="y z omega psi y+z".split()
+    )
+    def test_finite_samples_compress_or_raise_nonfinite(self, fields, peak):
+        # the README contract at every scale up to the float64 limit; up to
+        # 1e306 each of these sample sets compresses (col scales its input)
+        samples = replace(
+            self.SAMPLES,
+            **{f: getattr(self.SAMPLES, f) * (peak / np.abs(getattr(self.SAMPLES, f)).max())
+               for f in fields},
+        )
+        f = self.compress_or_nonfinite(samples)
+        assert f is not None or peak > 1e306
 
     def test_sample_matrices_must_be_arrays(self):
         # an array-like has no .shape; it is a typed error, not an AttributeError

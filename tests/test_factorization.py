@@ -134,6 +134,33 @@ class TestApplyMatrix:
             apply_matrix(f, np.ones((63, 2)))
 
 
+class TestNonRealInput:
+    """Every apply entry takes real input only, by a dtype test."""
+
+    ENTRIES = {
+        "apply": apply,
+        "apply_transpose": apply_transpose,
+        "apply_matrix": lambda f, q: apply_matrix(f, q[:, None]),
+    }
+
+    @pytest.mark.parametrize("value", [1 + 1j, "1"], ids=["complex", "string"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_rejects_non_real(self, entry, value):
+        # a float64 cast would drop an imaginary part with only a ComplexWarning,
+        # and fail on strings with an untyped ValueError
+        f = random_hbs(build_tree(64, 8), 3, seed=1)
+        with pytest.raises(DimensionError, match="apply input is .*, not real"):
+            self.ENTRIES[entry](f, np.full(64, value))
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_bool_int_and_float32_input_apply_as_float64(self, entry):
+        f = random_hbs(build_tree(64, 8), 3, seed=1)
+        q = np.arange(64) % 2
+        expected = self.ENTRIES[entry](f, q.astype(np.float64))
+        for a in (q, q.astype(np.float32), q.astype(bool)):
+            np.testing.assert_array_equal(self.ENTRIES[entry](f, a), expected, strict=True)
+
+
 class TestToDense:
     def test_depth_one_formula(self):
         # two-level expansion written out block by block

@@ -107,6 +107,23 @@ class TestCol:
         q = col(2.0**1000 * gaussian_matrix(20, 5, seed=3))
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
 
+    def test_finite_input_near_overflow_gives_finite_columns(self):
+        # column norms past the float64 range overflow an unscaled QR without
+        # a floating-point flag; col scales each entry by a power of two first
+        rng = np.random.default_rng(0)
+        b = 8.6e307 * rng.uniform(0.9, 1.0, (8, 4)) * rng.choice([-1.0, 1.0], (8, 4))
+        with np.errstate(all="raise"):
+            q = col(b)
+        assert np.isfinite(q).all()
+        assert np.linalg.norm(q.T @ q - np.eye(4)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-3, 3.7, 1e200])
+    def test_scaling_leaves_householder_bits_alone(self, scale):
+        # a power-of-two scale is exact in every Householder step, so the
+        # guarded QR is bit for bit the unscaled one on in-range stacks
+        b = scale * np.random.default_rng(3).standard_normal((6, 30, 15))
+        assert np.array_equal(col(b), np.linalg.qr(b)[0])
+
 
 def conditioned(seed, rows, cols, kappa):
     """A rows x cols matrix with singular values spread from 1 to 1/kappa."""

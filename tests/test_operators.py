@@ -79,6 +79,16 @@ class TestDenseOracle:
             oracle.apply_batch(np.ones((4, 1)))
         assert oracle.matvec_count == (0, 0)
 
+    @pytest.mark.parametrize("value", [1 + 1j, "1"], ids=["complex", "string"])
+    @pytest.mark.parametrize("direction", ["apply_batch", "apply_transpose_batch"])
+    def test_rejects_non_real_input(self, direction, value):
+        # a float64 cast would drop an imaginary part with only a ComplexWarning,
+        # and fail on strings with an untyped ValueError
+        oracle = dense_oracle(np.eye(4))
+        with pytest.raises(DimensionError, match="oracle input is .*, not real"):
+            getattr(oracle, direction)(np.full((4, 1), value))
+        assert oracle.matvec_count == (0, 0)
+
     def test_rejects_non_finite_product(self):
         from hbs.errors import NonFiniteError
         from hbs.oracle import MatVecOracle

@@ -102,6 +102,51 @@ def test_every_product_in_the_sweep_is_counted():
     assert counted >= 10, f"scan found only {counted} counted products"
 
 
+def test_lapack_is_reached_only_through_the_entry_guard():
+    # LAPACK overflows on an unscaled stack near the float64 limit and raises
+    # no floating-point flag.  So in hbs.linalg only col, _cholesky and
+    # _orthonormalize call it, and col and nullspace read their input only
+    # through _unit, which scales each entry by a power of two (and by .shape).
+    path = SRC / "linalg.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.linalg")
+        for alias in node.names
+    }
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    owner = {id(node): name for name, fn in functions.items() for node in ast.walk(fn)}
+    calls = [
+        (owner.get(id(node), "<module>"), ast.unparse(node.func))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    lapack = [
+        (where, func)
+        for where, func in calls
+        if func in imported or func.startswith("np.linalg.") and func != "np.linalg.norm"
+    ]
+    kernels = {"col", "_cholesky", "_orthonormalize"}
+    names = {"np.linalg.qr", "np.linalg.cholesky", "np.linalg.svd", "dtrtri"}
+    assert names <= {func for _, func in lapack}, f"scan found only {lapack}"
+    outside = [f"{where}: {func}" for where, func in lapack if where not in kernels]
+    assert not outside, f"LAPACK calls outside the guarded kernels: {outside}"
+    for name in ("col", "nullspace"):
+        fn = functions[name]
+        arg = fn.args.args[0].arg
+        nodes = list(ast.walk(fn))
+        guarded = [
+            node for node in nodes
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_unit"
+            and ast.unparse(node.args[0]) == arg
+        ]
+        shape_reads = [node for node in nodes if ast.unparse(node) == f"{arg}.shape"]
+        uses = [node for node in nodes if isinstance(node, ast.Name) and node.id == arg]
+        assert guarded, f"{name} does not pass {arg} through _unit"
+        assert len(uses) == len(guarded) + len(shape_reads), f"{name} reads {arg} unguarded"
+
+
 def test_no_assert_in_library():
     # `python -O` strips assert statements, so no check in the library may be one
     found = [
