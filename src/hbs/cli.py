@@ -3,7 +3,8 @@
 Subcommands: `compress` (one run, optionally saving the factorization),
 `sweep` (a size sweep written as CSV or JSON lines), and `verify`
 (recompute the error estimate for a saved factorization against an oracle
-rebuilt at the file's size, rank and leaf size).  A failure prints one
+rebuilt at the file's size, rank and leaf size, and print the oracle
+columns the estimate used, forward / transpose).  A failure prints one
 line, the error's `kind` and message, and exits with its `exit_code` (see
 `hbs.errors`): 2 for a configuration error, non-finite data, a malformed
 file or a resource limit, 3 for an ill-conditioned probe.  An unreadable or
@@ -120,6 +121,7 @@ def _cmd_verify(args):
     oracle = build_oracle(args.problem, f.n, config)
     rel_err = estimate_rel_err(oracle, f, iters=args.power_iters, seed=args.seed)
     print(f"rel_err: {rel_err:.6e}")
+    print("oracle columns (a / at): {} / {}".format(*oracle.matvec_count))
     return 0
 
 

@@ -55,10 +55,13 @@ def check_seed(seed) -> int:
 
 
 def check_real(name: str, a) -> np.ndarray:
-    """`a` as a float64 array; a dtype other than bool, integer or float
-    (complex, string, object) raises DimensionError.  A dtype test only: no
-    pass over the data."""
-    a = np.asarray(a)
+    """`a` as a float64 array; a ragged array-like, or a dtype other than
+    bool, integer or float (complex, string, object), raises DimensionError.
+    A dtype test only: no pass over the data."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DimensionError(f"{name} is ragged: {exc}") from exc
     if a.dtype.kind not in "biuf":
         raise DimensionError(f"{name} is {a.dtype}, not real")
     return a.astype(np.float64, copy=False)

@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives: seeded Gaussian test matrices, QR column
 bases, the CholeskyQR probe factor of a wide test matrix (certified rank
 screen, per-entry thin-SVD fallback) that gives a nullspace sketch and the
-pseudoinverse action by products, and a power-method norm estimator.
+pseudoinverse action by products, and a power-method estimate of a
+compressed operator's relative error.
 
 All routines work on float64 ndarrays and are pure functions of their
 inputs, so identical seeds reproduce runs bit-for-bit on one platform.
@@ -171,34 +172,39 @@ def check_power_iters(iters: int) -> None:
         raise ConfigurationError(f"power iterations must be positive, got {iters}")
 
 
-def _gram_norm_estimate(op, op_t, x0, iters):
-    """Power iteration on the Gram operator x <- op_t(op(x)) over an n x 1
-    block; returns a lower-bound estimate of the largest singular value of op.
-    Needs iters >= 1."""
-    x = x0 / np.linalg.norm(x0)
-    for _ in range(iters):
-        y = op_t(op(x))
-        gain = np.linalg.norm(y)
-        if gain == 0.0:
-            return 0.0
-        x = y / gain
-    return np.sqrt(gain)
+def power_method_relnorm(op_a, op_at, op_f, op_ft, n, iters=POWER_ITERS, seed=0):
+    """Estimate ||A - F|| / ||A|| for an oracle A and its compressed form F,
+    from batched-product handles that map an n x c array to an n x c array.
 
-
-def power_method_relnorm(op_e, op_et, op_a, op_at, n, iters=POWER_ITERS, seed=0):
-    """Estimate ||E|| / ||A|| from batched-product handles only.
-
-    Each handle maps an n x c array to an n x c array; the iteration runs
-    on one n x 1 block.  Both norms are estimated by `iters` power
-    iterations on the respective Gram operators, started from the same
-    random block, so each estimate is a lower bound on its true norm (up to
-    roundoff) and E == A reports exactly 1.  One iteration costs one apply
-    of the operator and one of its transpose.
+    Two power iterations on Gram operators start from one random unit vector.
+    The error chain takes `iters` steps on E = A - F.  The norm chain takes
+    its first iters - 1 steps on F, whose norm is within ||E|| of ||A||, and
+    its last on the oracle, so the reference sqrt(||A^T A x||) for a unit x
+    is a lower bound on ||A||, as the error estimate is on ||E||.  Should F's
+    gain reach zero, the norm chain takes its remaining steps on the oracle.
+    Each step makes one n x 2 call of each F handle for both chains; the
+    oracle sees single columns only, iters + 1 per direction (up to 2 iters
+    if F runs out).  A zero reference raises NonFiniteError.
     """
     check_power_iters(iters)
     x0 = gaussian_matrix(n, 1, seed, STREAM_POWER)
-    e_norm = _gram_norm_estimate(op_e, op_et, x0, iters)
-    a_norm = _gram_norm_estimate(op_a, op_at, x0, iters)
-    if a_norm == 0.0:
-        raise NonFiniteError("reference operator norm estimate is zero; relative error undefined")
-    return e_norm / a_norm
+    x_e = x_a = x0 / np.linalg.norm(x0)
+    on_oracle = False  # the norm chain, from its last step or once F's gain is zero
+    for step in range(iters):
+        fx = op_f(np.hstack([x_e, x_a]))
+        y_e = op_a(x_e) - fx[:, :1]
+        fy = op_ft(np.hstack([y_e, fx[:, 1:]]))
+        z_e, z_a = op_at(y_e) - fy[:, :1], fy[:, 1:]
+        gain_e, gain_a = np.linalg.norm(z_e), np.linalg.norm(z_a)
+        on_oracle = on_oracle or step == iters - 1 or gain_a == 0.0
+        if on_oracle:
+            z_a = op_at(op_a(x_a))
+            gain_a = np.linalg.norm(z_a)
+            if gain_a == 0.0:
+                raise NonFiniteError(
+                    "reference operator norm estimate is zero; relative error undefined"
+                )
+        if gain_e == 0.0:
+            return 0.0
+        x_e, x_a = z_e / gain_e, z_a / gain_a
+    return np.sqrt(gain_e) / np.sqrt(gain_a)

@@ -206,11 +206,12 @@ def test_power_method_metric_sanity():
         sing = np.concatenate(([3.0], rng.uniform(0.1, 1.5, size=n - 1)))
         e = (u * sing) @ v.T
         true = 3.0
+        # the oracle is the identity, the compressed operator I - E
         est = power_method_relnorm(
-            lambda x: e @ x,
-            lambda x: e.T @ x,
             lambda x: x,
             lambda x: x,
+            lambda x: x - e @ x,
+            lambda x: x - e.T @ x,
             n,
             iters=20,
             seed=trial,

@@ -127,16 +127,16 @@ class TestCsvSchema:
     def test_header_is_pinned(self):
         assert CSV_HEADER == (
             "problem,n,r,m,s,seed,t_sample,t_compress,t_apply,rel_err,floats_per_dof,"
-            "matvecs_a,matvecs_at"
+            "matvecs_a,matvecs_at,t_verify"
         )
 
     def test_row_format_is_pinned(self):
         record = RunRecord(
-            "synthetic", 256, 6, 12, 18, 5, 0.001, 0.002, 0.0003, 1.5e-12, 12.25, 18, 18
+            "synthetic", 256, 6, 12, 18, 5, 0.001, 0.002, 0.0003, 1.5e-12, 12.25, 18, 18, 0.004
         )
         assert record.csv_row() == (
             "synthetic,256,6,12,18,5,1.000000e-03,2.000000e-03,3.000000e-04,1.500000e-12,"
-            "12.250000,18,18"
+            "12.250000,18,18,4.000000e-03"
         )
 
 
@@ -149,27 +149,28 @@ class TestSchurRecord:
 
 
 def reference_rel_err(oracle, f, iters, seed):
-    """The power iteration one vector at a time: every product is a single
-    column, every handle maps a length-n vector to a length-n vector."""
+    """The two chains one vector at a time: every oracle product is a single
+    column, and the compressed operator's products are stacked n x 2, error
+    chain first, where the estimator stacks them."""
     a = lambda q: oracle.apply_batch(q[:, None])[:, 0]
     a_t = lambda q: oracle.apply_transpose_batch(q[:, None])[:, 0]
-    e = lambda q: a(q) - factorization.apply(f, q)
-    e_t = lambda q: a_t(q) - factorization.apply_transpose(f, q)
+    f_pair = lambda p, q: factorization.apply_matrix(f, np.column_stack([p, q])).T
+    f_t_pair = lambda p, q: factorization.apply_matrix(f, np.column_stack([p, q]), True).T
     x0 = gaussian_matrix(oracle.n, 1, seed, STREAM_POWER)[:, 0]
-
-    def gram_norm(op, op_t):
-        x = x0 / np.linalg.norm(x0)
-        estimate = 0.0
-        for _ in range(iters):
-            y = op_t(op(x))
-            gain = np.linalg.norm(y)
-            if gain == 0.0:
-                return 0.0
-            estimate = np.sqrt(gain)
-            x = y / gain
-        return estimate
-
-    return gram_norm(e, e_t) / gram_norm(a, a_t)
+    x_e = x_a = x0 / np.linalg.norm(x0)
+    on_oracle = False
+    for step in range(iters):
+        fx_e, fx_a = f_pair(x_e, x_a)  # F x for both chains
+        y_e = a(x_e) - fx_e
+        fy_e, fy_a = f_t_pair(y_e, fx_a)  # F^T y for both chains
+        z_e, z_a = a_t(y_e) - fy_e, fy_a
+        gain_e, gain_a = np.linalg.norm(z_e), np.linalg.norm(z_a)
+        on_oracle = on_oracle or step == iters - 1 or gain_a == 0.0
+        if on_oracle:  # the last step, or every step once F's gain is zero
+            z_a = a_t(a(x_a))
+            gain_a = np.linalg.norm(z_a)
+        x_e, x_a = z_e / gain_e, z_a / gain_a
+    return np.sqrt(gain_e) / np.sqrt(gain_a)
 
 
 class TestEstimateRelErr:
@@ -188,9 +189,20 @@ class TestEstimateRelErr:
         before = oracle.matvec_count
         rel_err = estimate_rel_err(oracle, f, iters=iters, seed=5)
         after = oracle.matvec_count
-        assert (after[0] - before[0], after[1] - before[1]) == (2 * iters, 2 * iters)
+        # iters oracle columns per direction for the error, one for the reference norm
+        assert (after[0] - before[0], after[1] - before[1]) == (iters + 1, iters + 1)
         assert rel_err == reference_rel_err(oracle, f, iters, seed=5)
         assert 0.0 < rel_err < 1e-6
+
+    def test_zero_factorization_falls_back_on_the_oracle(self):
+        # F = 0 gives the norm chain no gain, so it runs on the oracle
+        # throughout as the error chain's twin: the ratio is 1, at 2 iters columns
+        rng = np.random.default_rng(8)
+        oracle = dense_oracle(rng.standard_normal((64, 64)))
+        f = factorization.HbsFactorization.zeros(build_tree(64, 8), 3)
+        rel_err = estimate_rel_err(oracle, f, iters=9, seed=2)
+        assert abs(rel_err - 1.0) <= 1e-12
+        assert oracle.matvec_count == (18, 18)
 
     def test_zero_operator_is_non_finite_error(self):
         # ||E|| / ||A|| with ||A|| = 0 has no value

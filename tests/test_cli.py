@@ -153,9 +153,21 @@ class TestVerifyCommand:
         capsys.readouterr()
         code = cli.main(["verify", "--load", str(path), "--problem", "synthetic", "--seed", "2"])
         assert code == 0
-        out = capsys.readouterr().out
-        rel_err = float(out.split("rel_err:")[1])
-        assert rel_err <= 1e-9
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("rel_err: ")
+        assert float(first.split(": ")[1]) <= 1e-9
+
+    def test_verify_prints_its_oracle_columns(self, tmp_path, capsys):
+        path = tmp_path / "f.hbsf"
+        base = ["--problem", "synthetic", "--n", "256", "--rank", "8", "--leaf", "16"]
+        assert cli.main(["compress", *base, "--save", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--load", str(path), "--problem", "synthetic", "--power-iters", "5"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # 5 oracle columns per direction for the error, 1 for the reference norm
+        assert lines[0].startswith("rel_err: ")
+        assert lines[1] == "oracle columns (a / at): 6 / 6"
 
     def test_size_rank_and_leaf_come_from_the_file(self, capsys):
         with pytest.raises(SystemExit) as exc:

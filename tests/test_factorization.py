@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from conftest import node_blocks
 
+import hbs
 from hbs.errors import ConfigurationError, DimensionError, FormatError, ResourceLimitError
 from hbs.factorization import (
     HbsFactorization,
@@ -151,6 +152,12 @@ class TestNonRealInput:
         f = random_hbs(build_tree(64, 8), 3, seed=1)
         with pytest.raises(DimensionError, match="apply input is .*, not real"):
             self.ENTRIES[entry](f, np.full(64, value))
+
+    def test_rejects_ragged_input(self):
+        f = random_hbs(build_tree(64, 8), 3, seed=1)
+        ragged = [1.0] * 63 + [[1.0, 2.0]]
+        with pytest.raises(DimensionError, match="apply input is ragged"):
+            hbs.apply(f, ragged)
 
     @pytest.mark.parametrize("entry", list(ENTRIES))
     def test_bool_int_and_float32_input_apply_as_float64(self, entry):

@@ -89,6 +89,13 @@ class TestDenseOracle:
             getattr(oracle, direction)(np.full((4, 1), value))
         assert oracle.matvec_count == (0, 0)
 
+    def test_rejects_ragged_input(self):
+        # numpy raises an untyped ValueError converting a ragged array-like
+        oracle = dense_oracle(np.eye(2))
+        with pytest.raises(DimensionError, match="oracle input is ragged"):
+            oracle.apply_batch([[1.0], [1.0, 2.0]])
+        assert oracle.matvec_count == (0, 0)
+
     def test_rejects_non_finite_product(self):
         from hbs.errors import NonFiniteError
         from hbs.oracle import MatVecOracle
