@@ -1,8 +1,7 @@
 """Dense linear-algebra primitives: seeded Gaussian test matrices, QR column
 bases, the CholeskyQR probe factor of a wide test matrix (certified rank
 screen, per-entry thin-SVD fallback) that gives a nullspace sketch and the
-pseudoinverse action by products, and a power-method estimate of a
-compressed operator's relative error.
+pseudoinverse action by products.
 
 All routines work on float64 ndarrays and are pure functions of their
 inputs, so identical seeds reproduce runs bit-for-bit on one platform.
@@ -46,7 +45,7 @@ def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def gaussian_matrix(n: int, s: int, seed: int, stream: int = 0) -> np.ndarray:
+def gaussian_matrix(n: int, s: int, seed: int, stream: int) -> np.ndarray:
     """Draw an n x s matrix of iid standard normals.
 
     `stream` selects a decorrelated substream of `seed`; the same
@@ -167,44 +166,6 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
 
 
 def check_power_iters(iters: int) -> None:
-    """Reject a power-iteration count below one."""
-    if iters < 1:
+    """Reject a power-iteration count that is not an integer of at least one."""
+    if check_integer("power iterations", iters) < 1:
         raise ConfigurationError(f"power iterations must be positive, got {iters}")
-
-
-def power_method_relnorm(op_a, op_at, op_f, op_ft, n, iters=POWER_ITERS, seed=0):
-    """Estimate ||A - F|| / ||A|| for an oracle A and its compressed form F,
-    from batched-product handles that map an n x c array to an n x c array.
-
-    Two power iterations on Gram operators start from one random unit vector.
-    The error chain takes `iters` steps on E = A - F.  The norm chain takes
-    its first iters - 1 steps on F, whose norm is within ||E|| of ||A||, and
-    its last on the oracle, so the reference sqrt(||A^T A x||) for a unit x
-    is a lower bound on ||A||, as the error estimate is on ||E||.  Should F's
-    gain reach zero, the norm chain takes its remaining steps on the oracle.
-    Each step makes one n x 2 call of each F handle for both chains; the
-    oracle sees single columns only, iters + 1 per direction (up to 2 iters
-    if F runs out).  A zero reference raises NonFiniteError.
-    """
-    check_power_iters(iters)
-    x0 = gaussian_matrix(n, 1, seed, STREAM_POWER)
-    x_e = x_a = x0 / np.linalg.norm(x0)
-    on_oracle = False  # the norm chain, from its last step or once F's gain is zero
-    for step in range(iters):
-        fx = op_f(np.hstack([x_e, x_a]))
-        y_e = op_a(x_e) - fx[:, :1]
-        fy = op_ft(np.hstack([y_e, fx[:, 1:]]))
-        z_e, z_a = op_at(y_e) - fy[:, :1], fy[:, 1:]
-        gain_e, gain_a = np.linalg.norm(z_e), np.linalg.norm(z_a)
-        on_oracle = on_oracle or step == iters - 1 or gain_a == 0.0
-        if on_oracle:
-            z_a = op_at(op_a(x_a))
-            gain_a = np.linalg.norm(z_a)
-            if gain_a == 0.0:
-                raise NonFiniteError(
-                    "reference operator norm estimate is zero; relative error undefined"
-                )
-        if gain_e == 0.0:
-            return 0.0
-        x_e, x_a = z_e / gain_e, z_a / gain_a
-    return np.sqrt(gain_e) / np.sqrt(gain_a)

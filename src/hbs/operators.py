@@ -17,7 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import factorization
-from .errors import DimensionError
+from .errors import DimensionError, check_integer
 from .oracle import MatVecOracle
 
 _ASSEMBLY_CHUNK = 4 * 1024 * 1024  # entries per row block when assembling kernels
@@ -125,6 +125,7 @@ def _layer_matrix(n, contour, kernel, diagonal=None):
     """Fill the n x n Nystrom matrix K[i, j] = w_j * kernel(i, j) in row
     blocks.  The diagonal holds w_i times `diagonal(weights)`, or by default
     the kernel's extrapolated smooth limit."""
+    n = check_integer("n", n)
     if n < 16:
         raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
     theta, pts, normals, weights = contour.quadrature(n)
@@ -220,9 +221,11 @@ class GridProblem:
     separator: np.ndarray
 
 
-def grid_problem(width: int, height: int = 51) -> GridProblem:
+def grid_problem(width: int, height: int) -> GridProblem:
     """Assemble the Poisson five-point stencil on a width x height grid and
     partition it so no stencil edge joins the two interior halves."""
+    width = check_integer("grid width", width)
+    height = check_integer("grid height", height)
     if width < 8:
         raise DimensionError(f"grid width must be at least 8, got {width}")
     if height < 3 or height % 2 == 0:
@@ -241,7 +244,7 @@ def grid_problem(width: int, height: int = 51) -> GridProblem:
     )
 
 
-def schur_oracle(width: int, height: int = 51) -> MatVecOracle:
+def schur_oracle(width: int, height: int) -> MatVecOracle:
     """Schur complement of the grid Laplacian onto its middle separator
     line, applied via one sparse factorization per interior half.  The
     target is symmetric, so the transpose path reuses the forward apply."""

@@ -3,10 +3,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hbs
-from hbs.factorization import node_sizes
+from hbs.factorization import HbsFactorization, node_sizes
+from hbs.tree import build_tree
 
 
 @pytest.fixture
@@ -23,3 +25,14 @@ def node_blocks(f, level, j):
     of a factorization, leaf blocks cut to the leaf's size."""
     rows = node_sizes(f.tree, f.rank, level)[j]
     return f.U[level][j, :rows], f.V[level][j, :rows], f.D[level][j, :rows, :rows]
+
+
+def dense_factorization(a):
+    """A depth-1 factorization of the n x n matrix `a` (n even) whose apply is
+    exactly `a @ q`: rank n/2, identity bases, zero discrepancies and `a` as
+    the root core."""
+    n = len(a)
+    f = HbsFactorization.zeros(build_tree(n, n // 2), n // 2)
+    f.U[1][...] = f.V[1][...] = np.eye(n // 2)
+    f.root_disc[...] = a
+    return f

@@ -8,13 +8,13 @@ verification matvecs, so they show exactly what compression consumed.
 """
 
 import numpy as np
+from conftest import dense_factorization
 
 import hbs
 from hbs import bench, operators
 from hbs.compress import CompressionConfig, compress_from_samples, compress_operator, draw_samples
 from hbs.factorization import apply_matrix, random_hbs, to_dense
 from hbs.flops import count_madds
-from hbs.linalg import power_method_relnorm
 from hbs.operators import default_contour, dense_oracle, hbs_oracle, ntd_oracle, schur_oracle
 from hbs.serialize import load_factorization, save_factorization
 from hbs.tree import build_tree
@@ -207,15 +207,8 @@ def test_power_method_metric_sanity():
         e = (u * sing) @ v.T
         true = 3.0
         # the oracle is the identity, the compressed operator I - E
-        est = power_method_relnorm(
-            lambda x: x,
-            lambda x: x,
-            lambda x: x - e @ x,
-            lambda x: x - e.T @ x,
-            n,
-            iters=20,
-            seed=trial,
-        )
+        f = dense_factorization(np.eye(n) - e)
+        est = bench.estimate_rel_err(dense_oracle(np.eye(n)), f, iters=20, seed=trial)
         checked.append(est / true)
         assert 0.9 * true <= est <= true * (1.0 + 1e-12)
     report("power-method metric", f"estimate/true in {min(checked):.4f}..{max(checked):.4f}")

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import dense_factorization
 
-from hbs import factorization
+from hbs import factorization, linalg
 from hbs.bench import CSV_HEADER, RunRecord, build_oracle, estimate_rel_err, run_once, sweep
 from hbs.compress import CompressionConfig, compress_operator
 from hbs.errors import ConfigurationError, NonFiniteError
@@ -66,6 +67,19 @@ class TestRunOnce:
         config = CompressionConfig(rank=30, leaf_threshold=60, probes=90, seed=-1)
         with pytest.raises(ConfigurationError, match="seed must be nonnegative, got -1"):
             run_once("bie-dl", 4800, config)
+
+    @pytest.mark.parametrize("iters", [2.5, True])
+    @pytest.mark.parametrize("entry", ["run_once", "estimate_rel_err"])
+    def test_power_iters_must_be_an_integer(self, entry, iters):
+        config = CompressionConfig(rank=6, leaf_threshold=12, seed=5)
+        f = dense_factorization(np.eye(4))
+        estimate = {
+            "run_once": lambda: run_once("synthetic", 256, config, power_iters=iters),
+            "estimate_rel_err": lambda: estimate_rel_err(dense_oracle(np.eye(4)), f, iters=iters),
+        }[entry]
+        message = f"power iterations must be an integer, got {iters}"
+        with pytest.raises(ConfigurationError, match=message):
+            estimate()
 
     def test_zero_power_iters_rejected_before_oracle_assembly(self, monkeypatch):
         def no_oracle(*args):
@@ -193,6 +207,32 @@ class TestEstimateRelErr:
         assert (after[0] - before[0], after[1] - before[1]) == (iters + 1, iters + 1)
         assert rel_err == reference_rel_err(oracle, f, iters, seed=5)
         assert 0.0 < rel_err < 1e-6
+
+    def test_reaches_the_factorization_through_its_module(self, monkeypatch):
+        # the benchmark's tracer times verification's F products and its draw by
+        # wrapping hbs.factorization.apply_matrix and hbs.linalg.gaussian_matrix;
+        # a name bound at import would escape it
+        rng = np.random.default_rng(9)
+        f = factorization.random_hbs(build_tree(64, 8), 2, seed=6)
+        oracle = dense_oracle(factorization.to_dense(f) + 1e-3 * rng.standard_normal((64, 64)))
+        calls, draws = [], []
+        apply_matrix, draw = factorization.apply_matrix, linalg.gaussian_matrix
+
+        def counting(f, q, transpose=False):
+            calls.append(transpose)
+            return apply_matrix(f, q, transpose)
+
+        def counting_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(factorization, "apply_matrix", counting)
+        monkeypatch.setattr(linalg, "gaussian_matrix", counting_draw)
+        iters = 6
+        estimate_rel_err(oracle, f, iters=iters, seed=1)
+        assert (calls.count(False), calls.count(True)) == (iters, iters)
+        assert oracle.matvec_count == (iters + 1, iters + 1)
+        assert draws == [(64, 1, 1, STREAM_POWER)]
 
     def test_zero_factorization_falls_back_on_the_oracle(self):
         # F = 0 gives the norm chain no gain, so it runs on the oracle

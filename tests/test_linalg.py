@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import dense_factorization
 
+from hbs.bench import estimate_rel_err
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from hbs.flops import count_madds, matmul, svd_madds
 from hbs.linalg import (
@@ -11,9 +13,9 @@ from hbs.linalg import (
     gaussian_matrix,
     lstsq_right,
     nullspace,
-    power_method_relnorm,
     seeded_rng,
 )
+from hbs.operators import dense_oracle
 
 # Frozen regression values for the committed generator (seed 7, stream 0).
 FROZEN_GAUSS_MEAN = -0.01581890868143026
@@ -51,11 +53,11 @@ class TestGaussianMatrix:
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
-            gaussian_matrix(0, 3, seed=1)
+            gaussian_matrix(0, 3, seed=1, stream=0)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigurationError, match="seed"):
-            gaussian_matrix(3, 2, seed=-1)
+            gaussian_matrix(3, 2, seed=-1, stream=0)
 
 
 class TestCol:
@@ -104,7 +106,7 @@ class TestCol:
 
     def test_huge_finite_input_is_orthonormalized(self):
         # entries near 1e301: the input is finite, so no norm of it is taken
-        q = col(2.0**1000 * gaussian_matrix(20, 5, seed=3))
+        q = col(2.0**1000 * gaussian_matrix(20, 5, seed=3, stream=0))
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
 
     def test_finite_input_near_overflow_gives_finite_columns(self):
@@ -141,7 +143,7 @@ class TestNullspace:
         assert np.linalg.matrix_rank(z) == 2
 
     def test_gaussian_residual(self):
-        b = gaussian_matrix(5, 15, seed=3)
+        b = gaussian_matrix(5, 15, seed=3, stream=0)
         z = nullspace(b, 10).null
         assert np.linalg.norm(b @ z) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.matrix_rank(z) == 10
@@ -186,7 +188,7 @@ class TestNullspace:
         # projection vanishes and the sketch's Gram matrix is nearly singular
         rows, cols, k = 6, 9, 3
         g = seeded_rng(0, STREAM_NULL).standard_normal((cols, k))
-        m = np.vstack((g[:, 0], gaussian_matrix(rows - 1, cols, seed=19)))
+        m = np.vstack((g[:, 0], gaussian_matrix(rows - 1, cols, seed=19, stream=0)))
         z = nullspace(m, k).null
         assert np.isfinite(z).all()
         assert np.linalg.norm(m @ z) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(z)
@@ -212,7 +214,7 @@ class TestLstsqRight:
         assert np.linalg.norm(x - c) <= 1e-12 * np.linalg.norm(c)
 
     def test_zero_rhs(self):
-        m = gaussian_matrix(3, 9, seed=2)
+        m = gaussian_matrix(3, 9, seed=2, stream=0)
         x = lstsq_right(np.zeros((5, 9)), nullspace(m, 0))
         np.testing.assert_allclose(x, 0.0, atol=1e-15)
 
@@ -239,11 +241,11 @@ class TestLstsqRight:
 
     def test_rejects_column_mismatch(self):
         with pytest.raises(DimensionError, match="column mismatch: B has 8, M is 2 x 9"):
-            lstsq_right(np.ones((3, 8)), nullspace(gaussian_matrix(2, 9, seed=5), 0))
+            lstsq_right(np.ones((3, 8)), nullspace(gaussian_matrix(2, 9, seed=5, stream=0), 0))
 
     def test_non_finite_probe_raises_typed_error(self):
         for bad in (np.nan, np.inf):
-            m = gaussian_matrix(3, 9, seed=4)
+            m = gaussian_matrix(3, 9, seed=4, stream=0)
             m[1, 5] = bad
             with pytest.raises(NonFiniteError):
                 lstsq_right(np.ones((2, 9)), nullspace(m, 0))
@@ -251,8 +253,8 @@ class TestLstsqRight:
     def test_scaled_probe_scales_solve(self):
         # the Gram matrix of a probe near 1e180 overflows a plain product;
         # a power-of-two scale of M scales M^+ exactly
-        m = gaussian_matrix(3, 9, seed=5)
-        b = gaussian_matrix(2, 9, seed=6)
+        m = gaussian_matrix(3, 9, seed=5, stream=0)
+        b = gaussian_matrix(2, 9, seed=6, stream=0)
         x = lstsq_right(b, nullspace(m, 0))
         for e in (600, -600):
             assert np.array_equal(lstsq_right(b, nullspace(2.0**e * m, 0)), 2.0**-e * x)
@@ -271,7 +273,7 @@ class TestLstsqRight:
         with count_madds() as doubtful:
             x = lstsq_right(b, nullspace(m, 0))
         with count_madds() as certified:
-            lstsq_right(b, nullspace(gaussian_matrix(rows, cols, seed=61), 0))
+            lstsq_right(b, nullspace(gaussian_matrix(rows, cols, seed=61, stream=0), 0))
         # only the entry the Gram bound cannot certify pays for one thin SVD
         assert doubtful.madds - certified.madds == svd_madds(cols, rows)
         ref = np.linalg.lstsq(m.T, b.T, rcond=None)[0].T
@@ -415,29 +417,28 @@ class TestStacks:
 
 
 class TestPowerMethodRelnorm:
-    # Each case names an error E and a reference A and hands the estimator
-    # the oracle A and the compressed operator F = A - E.
+    # `bench.estimate_rel_err` on dense operators.  Each case names an error E
+    # and a reference A and hands the estimator the oracle A and the compressed
+    # operator F = A - E.
     def test_zero_error_operator(self):
         n = 16
-        ident = lambda x: x
-        assert power_method_relnorm(ident, ident, ident, ident, n, iters=20, seed=0) == 0.0
+        ident = np.eye(n)
+        f = dense_factorization(ident)
+        assert estimate_rel_err(dense_oracle(ident), f, iters=20, seed=0) == 0.0
 
     def test_dominant_diagonal(self):
         n = 8
         d = np.ones(n)
         d[0] = 3.0
-        op_f = lambda x: x - d[:, None] * x
-        ident = lambda x: x
-        est = power_method_relnorm(ident, ident, op_f, op_f, n, iters=50, seed=0)
+        f = dense_factorization(np.diag(1.0 - d))
+        est = estimate_rel_err(dense_oracle(np.eye(n)), f, iters=50, seed=0)
         assert 2.999 <= est <= 3.001
 
     def test_identical_operators_give_one(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((32, 32))
-        op = lambda x: a @ x
-        op_t = lambda x: a.T @ x
-        zero = lambda x: op(x) - op(x)
-        est = power_method_relnorm(op, op_t, zero, zero, 32, iters=20, seed=4)
+        zero = dense_factorization(np.zeros((32, 32)))
+        est = estimate_rel_err(dense_oracle(a), zero, iters=20, seed=4)
         assert 0.9 <= est <= 1.0
 
     def test_estimate_is_lower_bound(self):
@@ -445,19 +446,17 @@ class TestPowerMethodRelnorm:
         for seed in range(5):
             a = rng.standard_normal((24, 24))
             true = np.linalg.norm(a, 2)
-            op_f = lambda x: x - a @ x
-            op_ft = lambda x: x - a.T @ x
-            ident = lambda x: x
-            est = power_method_relnorm(ident, ident, op_f, op_ft, 24, iters=20, seed=seed)
+            f = dense_factorization(np.eye(24) - a)
+            est = estimate_rel_err(dense_oracle(np.eye(24)), f, iters=20, seed=seed)
             assert est <= true * (1.0 + 1e-12)
 
     def test_rejects_zero_iterations(self):
         # the same error and text as `run_once` and `hbs verify` give
-        ident = lambda x: x
+        ident = np.eye(4)
         with pytest.raises(ConfigurationError, match="power iterations must be positive, got 0"):
-            power_method_relnorm(ident, ident, ident, ident, 4, iters=0)
+            estimate_rel_err(dense_oracle(ident), dense_factorization(ident), iters=0)
 
     def test_rejects_non_integer_seed(self):
-        ident = lambda x: x
+        ident = np.eye(4)
         with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
-            power_method_relnorm(ident, ident, ident, ident, 4, seed=1.5)
+            estimate_rel_err(dense_oracle(ident), dense_factorization(ident), seed=1.5)

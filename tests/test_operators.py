@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hbs.errors import DimensionError
+from hbs.errors import ConfigurationError, DimensionError
 from hbs.operators import (
     adjoint_double_layer_matrix,
     bie_oracle,
@@ -309,3 +309,20 @@ class TestHbsOracle:
             oracle.apply_transpose_batch(x), apply_matrix(f, x, transpose=True)
         )
         assert oracle.matvec_count == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: grid_problem(8.5, 5), "grid width must be an integer, got 8.5"),
+        (lambda: grid_problem(10, 5.0), "grid height must be an integer, got 5.0"),
+        (lambda: schur_oracle(8.5, 5), "grid width must be an integer, got 8.5"),
+        (lambda: bie_oracle(100.5, default_contour()), "n must be an integer, got 100.5"),
+        (lambda: ntd_oracle(100.5, default_contour()), "n must be an integer, got 100.5"),
+        (lambda: double_layer_matrix(True, default_contour()), "n must be an integer, got True"),
+    ],
+    ids=["grid-width", "grid-height", "schur", "bie", "ntd", "bool"],
+)
+def test_sizes_must_be_integers(build, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build()
