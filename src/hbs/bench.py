@@ -54,6 +54,7 @@ class RunRecord:
     matvecs_a: int
     matvecs_at: int
     t_verify: float
+    t_build: float
 
     def csv_row(self) -> str:
         return ",".join(
@@ -141,7 +142,9 @@ def run_once(
     tree = build_tree(n, config.leaf_threshold)
     s = config.validate_for(tree)  # reject bad configs before oracle assembly
     check_power_iters(power_iters)
+    start = time.perf_counter()
     oracle = build_oracle(problem, n, config)
+    t_build = time.perf_counter() - start
     samples = draw_samples(oracle, s, config.seed)
     t_sample = oracle.seconds_in_products
     start = time.perf_counter()
@@ -167,6 +170,7 @@ def run_once(
         matvecs_a=matvecs_a,
         matvecs_at=matvecs_at,
         t_verify=t_verify,
+        t_build=t_build,
     )
     return record, f
 

@@ -20,7 +20,10 @@ class MatVecOracle:
 
     `apply_batch_fn` and `apply_transpose_batch_fn` map an (n x c) ndarray
     to an (n x c) ndarray.  Counters update atomically by exactly c per
-    batched call.
+    batched call.  One lock serializes the calls into both routines, so a
+    routine is never entered from two threads at once and need not be
+    thread-safe (scipy's `lu_solve` on one shared factor is not); a
+    single-threaded caller takes only an uncontended lock.
     """
 
     def __init__(self, n: int, apply_batch_fn, apply_transpose_batch_fn):
@@ -35,9 +38,10 @@ class MatVecOracle:
         x = check_real("oracle input", x)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise DimensionError(f"oracle expects {self.n} x c input, got shape {x.shape}")
-        start = time.perf_counter()
-        y = np.asarray(fn(x))
-        elapsed = time.perf_counter() - start
+        with self._lock:
+            start = time.perf_counter()
+            y = np.asarray(fn(x))
+            elapsed = time.perf_counter() - start
         if y.shape != x.shape:
             raise DimensionError(f"oracle product returned shape {y.shape}, expected {x.shape}")
         y = check_real(f"oracle {direction} product", y)

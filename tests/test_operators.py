@@ -1,9 +1,14 @@
 """Tests for the experiment operators and their oracles."""
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from hbs import operators
 from hbs.errors import ConfigurationError, DimensionError
 from hbs.operators import (
     adjoint_double_layer_matrix,
@@ -183,15 +188,37 @@ class TestAdjointDoubleLayerMatrix:
         np.testing.assert_allclose(np.diag(kernel), target, atol=1e-9)
 
 
+LAYER_BUILDERS = [double_layer_matrix, single_layer_matrix, adjoint_double_layer_matrix]
+
+
 class TestLayerMatrices:
-    @pytest.mark.parametrize(
-        "build",
-        [double_layer_matrix, single_layer_matrix, adjoint_double_layer_matrix],
-        ids=lambda build: build.__name__,
-    )
+    @pytest.mark.parametrize("build", LAYER_BUILDERS, ids=lambda build: build.__name__)
     def test_rejects_tiny_n(self, build):
         with pytest.raises(DimensionError):
             build(8, default_contour())
+
+    @pytest.mark.parametrize("build", LAYER_BUILDERS, ids=lambda build: build.__name__)
+    def test_block_size_changes_no_bit(self, build, monkeypatch):
+        # one row per block, 10 rows (which do not divide 97), one block for all:
+        # every entry, the self-pair fill inside each block included, is the same
+        n = 97
+        blocks = []
+        for rows in (1, 10, n):
+            monkeypatch.setattr(operators, "_ASSEMBLY_CHUNK", rows * n)
+            blocks.append(build(n, default_contour()))
+        assert all(np.array_equal(blocks[0], other) for other in blocks[1:])
+
+    @pytest.mark.parametrize("build", LAYER_BUILDERS, ids=lambda build: build.__name__)
+    def test_assembly_holds_one_matrix(self, build):
+        # a row block's temporaries are small next to the n x n result
+        n = 2048
+        tracemalloc.start()
+        try:
+            build(n, default_contour())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
 
 class TestBieOracle:
@@ -232,6 +259,26 @@ class TestNtdOracle:
         for j in range(0, n, 17):
             col_norm = np.linalg.norm(t_dense[:, j])
             assert np.linalg.norm(got[:, j] - t_dense[:, j]) <= 1e-12 * col_norm
+
+    def test_concurrent_products_match_serial(self):
+        # scipy's lu_solve on one shared factor returns wrong solutions when two
+        # threads enter it at once, so the oracle must serialize its products
+        n = 1000
+        oracle = ntd_oracle(n, default_contour())
+        x = np.random.default_rng(8).standard_normal((n, 32))
+        calls = [oracle.apply_batch, oracle.apply_transpose_batch] * 2
+        want = [call(x) for call in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(20):
+                    futures = [pool.submit(call, x) for call in calls]
+                    for future, expected in zip(futures, want):
+                        np.testing.assert_array_equal(future.result(timeout=60), expected)
+        finally:
+            sys.setswitchinterval(interval)
+        assert oracle.matvec_count == (32 * 42, 32 * 42)
 
     def test_linearity(self):
         n = 64
