@@ -178,8 +178,8 @@ def run_once(
 def sweep(problem, n_list, config, out_path, power_iters=POWER_ITERS, as_json=False):
     """Run `run_once` over ascending sizes, flushing one output row per run
     so partial results survive a failed size."""
-    if list(n_list) != sorted(n_list):
-        raise ConfigurationError(f"size list must be ascending, got {list(n_list)}")
+    if not n_list or list(n_list) != sorted(n_list):
+        raise ConfigurationError(f"size list must be ascending and nonempty, got {list(n_list)}")
     records = []
     with open(out_path, "w") as fh:
         if not as_json:

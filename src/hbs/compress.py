@@ -18,10 +18,10 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     IllConditionedProbeError,
-    NonFiniteError,
     check_integer,
     check_real,
     check_seed,
+    raise_out_of_range,
 )
 from .factorization import HbsFactorization, fill_records, node_sizes
 from .flops import add_madds, matmul
@@ -189,12 +189,7 @@ def compute_root(ns: SampleSet) -> np.ndarray:
     return lstsq_right(ns.y, nullspace(ns.omega, 0))
 
 
-def _out_of_range(kind, flag=None):
-    """numpy's floating-point error callback in the sweep."""
-    raise NonFiniteError(f"{kind} in the level sweep: the samples leave floating-point range")
-
-
-@np.errstate(over="call", invalid="call", call=_out_of_range)
+@np.errstate(over="call", invalid="call", call=raise_out_of_range)
 def compress_from_samples(
     samples: SampleSet, tree: ClusterTree, config: CompressionConfig
 ) -> HbsFactorization:
@@ -238,7 +233,7 @@ def compress_from_samples(
     except IllConditionedProbeError as exc:
         raise _at_node(exc, 0, 0) from exc
     if not all(np.isfinite(b).all() for b in (*f.U[1:], *f.V[1:], *f.D[1:], f.root_disc)):
-        _out_of_range("non-finite blocks")
+        raise_out_of_range("non-finite blocks")
     return f
 
 

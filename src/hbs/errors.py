@@ -32,6 +32,13 @@ class NonFiniteError(HbsError, ValueError):
     kind = "non-finite data"
 
 
+def raise_out_of_range(kind, flag=None):
+    """numpy's floating-point error callback, for `np.errstate(call=...)`
+    around arithmetic that finite input can push out of float64 range (the
+    level sweep and the factorization's apply)."""
+    raise NonFiniteError(f"{kind}: an operand or a product left the float64 range")
+
+
 class ConfigurationError(HbsError, ValueError):
     """A requested configuration cannot produce a valid compression run."""
 

@@ -16,7 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ResourceLimitError, check_integer, check_real
+from .errors import (
+    DimensionError,
+    FormatError,
+    ResourceLimitError,
+    check_integer,
+    check_real,
+    raise_out_of_range,
+)
 from .flops import add_madds
 from .linalg import STREAM_SYNTHETIC, seeded_rng
 from .tree import ClusterTree
@@ -162,6 +169,7 @@ def fill_records(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return records
 
 
+@np.errstate(over="call", invalid="call", call=raise_out_of_range)
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Apply the represented operator (or its transpose) to the columns of q.
 
@@ -169,6 +177,7 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     core couples the two halves, and the downward pass expands through
     column bases while discrepancy blocks re-inject what the bases miss:
     one stacked product per level and pass, one madd per stored float and column.
+    A product that overflows, or an invalid operation, raises NonFiniteError.
     """
     q = check_real("apply input", q)
     if q.ndim != 2 or q.shape[0] != f.n:

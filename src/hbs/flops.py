@@ -40,10 +40,10 @@ def add_madds(n):
         counter.madds += int(n)
 
 
-def matmul(a, b, out=None):
-    """`np.matmul(a, b, out=out)`, counting m k n madds for each (m x k) @
-    (k x n) product of the broadcast stack."""
-    c = np.matmul(a, b, out=out)
+def matmul(a, b):
+    """`a @ b`, counting m k n madds for each (m x k) @ (k x n) product of
+    the broadcast stack."""
+    c = np.matmul(a, b)
     add_madds(c.size * a.shape[-1])
     return c
 

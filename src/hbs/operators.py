@@ -9,8 +9,6 @@ separator.  Dense matrices and synthetic factorizations can also be
 wrapped directly, which is how the test oracles are built.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -216,55 +214,33 @@ def ntd_oracle(n: int, contour: Contour) -> MatVecOracle:
     return MatVecOracle(n, apply_batch, apply_transpose_batch)
 
 
-@dataclass(frozen=True)
-class GridProblem:
-    """Rectangular five-point-stencil grid split by its middle row:
-    index sets for top half, bottom half, and the separator line, plus the
-    assembled stiffness matrix."""
-
-    stiffness: scipy.sparse.csr_matrix
-    interior_top: np.ndarray
-    interior_bottom: np.ndarray
-    separator: np.ndarray
-
-
-def grid_problem(width: int, height: int) -> GridProblem:
-    """Assemble the Poisson five-point stencil on a width x height grid and
-    partition it so no stencil edge joins the two interior halves."""
+def schur_oracle(width: int, height: int) -> MatVecOracle:
+    """Schur complement of the five-point Poisson stencil on a width x height
+    grid onto its middle row, applied via one sparse factorization per
+    interior half.  The grid is numbered row by row, so the top half, the
+    separator row and the bottom half are contiguous index ranges and every
+    block is a slice of the stiffness matrix.  A stencil edge joins only
+    neighbouring rows, so none joins the two halves and each half is
+    eliminated on its own.  The target is symmetric, so the transpose path
+    reuses the forward apply."""
     width = check_integer("grid width", width)
     height = check_integer("grid height", height)
     if width < 8:
         raise DimensionError(f"grid width must be at least 8, got {width}")
     if height < 3 or height % 2 == 0:
         raise DimensionError(f"grid height must be odd and at least 3, got {height}")
+
     def line(k):  # second difference on k nodes, Dirichlet ends
         return scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
 
-    stiffness = scipy.sparse.kronsum(line(width), line(height), format="csr")
-    idx = np.arange(width * height).reshape(height, width)
-    mid = height // 2
-    return GridProblem(
-        stiffness=stiffness,
-        interior_top=idx[:mid].ravel(),
-        interior_bottom=idx[mid + 1 :].ravel(),
-        separator=idx[mid].ravel(),
-    )
-
-
-def schur_oracle(width: int, height: int) -> MatVecOracle:
-    """Schur complement of the grid Laplacian onto its middle separator
-    line, applied via one sparse factorization per interior half.  The
-    target is symmetric, so the transpose path reuses the forward apply."""
-    problem = grid_problem(width, height)
-    c = problem.stiffness.tocsc()
-    i1, i2, i3 = problem.interior_top, problem.interior_bottom, problem.separator
-    c11 = scipy.sparse.linalg.splu(c[i1][:, i1])
-    c22 = scipy.sparse.linalg.splu(c[i2][:, i2])
-    c13 = c[i1][:, i3].tocsr()
-    c31 = c[i3][:, i1].tocsr()
-    c23 = c[i2][:, i3].tocsr()
-    c32 = c[i3][:, i2].tocsr()
-    c33 = c[i3][:, i3].toarray()
+    c = scipy.sparse.kronsum(line(width), line(height), format="csc")
+    mid = height // 2 * width  # first index of the separator row
+    top, sep, bottom = slice(0, mid), slice(mid, mid + width), slice(mid + width, None)
+    c11 = scipy.sparse.linalg.splu(c[top, top])
+    c22 = scipy.sparse.linalg.splu(c[bottom, bottom])
+    c13, c31 = c[top, sep].tocsr(), c[sep, top].tocsr()
+    c23, c32 = c[bottom, sep].tocsr(), c[sep, bottom].tocsr()
+    c33 = c[sep, sep].toarray()
 
     def apply_batch(x):
         return c33 @ x - c31 @ c11.solve(c13 @ x) - c32 @ c22.solve(c23 @ x)

@@ -125,6 +125,12 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep("synthetic", [256, 128], config, tmp_path / "c.csv")
 
+    def test_rejects_empty_sizes(self, tmp_path):
+        config = CompressionConfig(rank=6, leaf_threshold=12, seed=8)
+        with pytest.raises(ConfigurationError, match=r"nonempty, got \[\]"):
+            sweep("synthetic", [], config, tmp_path / "c.csv")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_partial_rows_survive_failure(self, tmp_path):
         out = tmp_path / "partial.csv"
         # 15 probes satisfy max(r + max leaf, 3r) at n=128 (leaves of 8) but

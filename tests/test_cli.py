@@ -132,6 +132,15 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "--n-list" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("sizes", [",", ""], ids=["comma", "blank"])
+    def test_empty_size_list_exit_code(self, tmp_path, capsys, sizes):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--problem", "synthetic", "--n-list", sizes, "--rank", "6"]
+        assert cli.main([*argv, "--leaf", "12", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: size list must be ascending and nonempty")
+        assert not out.exists()
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "sweep.csv"
         argv = ["sweep", "--problem", "synthetic", "--n-list", "128", "--rank", "6"]

@@ -6,7 +6,13 @@ import scipy.linalg
 from conftest import node_blocks
 
 import hbs
-from hbs.errors import ConfigurationError, DimensionError, FormatError, ResourceLimitError
+from hbs.errors import (
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    NonFiniteError,
+    ResourceLimitError,
+)
 from hbs.factorization import (
     HbsFactorization,
     apply,
@@ -133,6 +139,14 @@ class TestApplyMatrix:
         f = random_hbs(build_tree(64, 8), 3, seed=10)
         with pytest.raises(DimensionError):
             apply_matrix(f, np.ones((63, 2)))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_overflow_raises_nonfinite(self, transpose):
+        # finite input whose products overflow: a typed error, not numpy's
+        # RuntimeWarning (under filterwarnings = error) or an inf result
+        f = random_hbs(build_tree(64, 8), 3, 1)
+        with pytest.raises(NonFiniteError, match="overflow: an operand or a product left"):
+            apply_matrix(f, np.full((64, 1), 1e308), transpose=transpose)
 
 
 class TestNonRealInput:

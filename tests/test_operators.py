@@ -17,7 +17,6 @@ from hbs.operators import (
     default_contour,
     dense_oracle,
     double_layer_matrix,
-    grid_problem,
     hbs_oracle,
     ntd_oracle,
     schur_oracle,
@@ -289,26 +288,6 @@ class TestNtdOracle:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
-class TestGridProblem:
-    def test_partition(self):
-        gp = grid_problem(10, 5)
-        combined = np.concatenate((gp.interior_top, gp.interior_bottom, gp.separator))
-        assert sorted(combined) == list(range(50))
-
-    def test_separator_disconnects_halves(self):
-        gp = grid_problem(12, 7)
-        coupling = gp.stiffness[gp.interior_top][:, gp.interior_bottom]
-        assert coupling.nnz == 0
-
-    def test_rejects_narrow_grid(self):
-        with pytest.raises(DimensionError, match="grid width must be at least 8, got 7"):
-            grid_problem(7, 5)
-
-    def test_rejects_even_height(self):
-        with pytest.raises(DimensionError):
-            grid_problem(10, 6)
-
-
 class TestSchurOracle:
     def test_symmetry(self):
         oracle = schur_oracle(32, 11)
@@ -329,18 +308,28 @@ class TestSchurOracle:
             assert (q.T @ oracle.apply_batch(q)).item() > 0.0
 
     def test_matches_dense_elimination(self):
-        width, height = 8, 5
-        oracle = schur_oracle(width, height)
-        gp = grid_problem(width, height)
-        c = gp.stiffness.toarray()
-        i1, i2, i3 = gp.interior_top, gp.interior_bottom, gp.separator
-        expected = (
-            c[np.ix_(i3, i3)]
-            - c[np.ix_(i3, i1)] @ np.linalg.solve(c[np.ix_(i1, i1)], c[np.ix_(i1, i3)])
-            - c[np.ix_(i3, i2)] @ np.linalg.solve(c[np.ix_(i2, i2)], c[np.ix_(i2, i3)])
-        )
-        got = oracle.apply_batch(np.eye(width))
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # eliminate the whole interior at once, so the reference does not
+        # assume that no stencil edge joins the two halves
+        def line(k):  # second difference on k nodes, Dirichlet ends
+            return 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+
+        for width, height in [(8, 5), (12, 7), (32, 11)]:
+            a = np.kron(np.eye(height), line(width)) + np.kron(line(height), np.eye(width))
+            sep = np.arange(height // 2 * width, (height // 2 + 1) * width)
+            rest = np.setdiff1d(np.arange(width * height), sep)
+            expected = a[np.ix_(sep, sep)] - a[np.ix_(sep, rest)] @ np.linalg.solve(
+                a[np.ix_(rest, rest)], a[np.ix_(rest, sep)]
+            )
+            got = schur_oracle(width, height).apply_batch(np.eye(width))
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_rejects_narrow_grid(self):
+        with pytest.raises(DimensionError, match="grid width must be at least 8, got 7"):
+            schur_oracle(7, 5)
+
+    def test_rejects_even_height(self):
+        with pytest.raises(DimensionError, match="grid height must be odd and at least 3, got 6"):
+            schur_oracle(10, 6)
 
 
 class TestHbsOracle:
@@ -361,14 +350,13 @@ class TestHbsOracle:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: grid_problem(8.5, 5), "grid width must be an integer, got 8.5"),
-        (lambda: grid_problem(10, 5.0), "grid height must be an integer, got 5.0"),
         (lambda: schur_oracle(8.5, 5), "grid width must be an integer, got 8.5"),
+        (lambda: schur_oracle(10, 5.0), "grid height must be an integer, got 5.0"),
         (lambda: bie_oracle(100.5, default_contour()), "n must be an integer, got 100.5"),
         (lambda: ntd_oracle(100.5, default_contour()), "n must be an integer, got 100.5"),
         (lambda: double_layer_matrix(True, default_contour()), "n must be an integer, got True"),
     ],
-    ids=["grid-width", "grid-height", "schur", "bie", "ntd", "bool"],
+    ids=["grid-width", "grid-height", "bie", "ntd", "bool"],
 )
 def test_sizes_must_be_integers(build, message):
     with pytest.raises(ConfigurationError, match=message):
