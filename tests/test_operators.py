@@ -352,11 +352,12 @@ class TestHbsOracle:
     [
         (lambda: schur_oracle(8.5, 5), "grid width must be an integer, got 8.5"),
         (lambda: schur_oracle(10, 5.0), "grid height must be an integer, got 5.0"),
+        (lambda: schur_oracle(10, True), "grid height must be an integer, got True"),
         (lambda: bie_oracle(100.5, default_contour()), "n must be an integer, got 100.5"),
         (lambda: ntd_oracle(100.5, default_contour()), "n must be an integer, got 100.5"),
         (lambda: double_layer_matrix(True, default_contour()), "n must be an integer, got True"),
     ],
-    ids=["grid-width", "grid-height", "bie", "ntd", "bool"],
+    ids=["grid-width", "grid-height", "schur", "bie", "ntd", "bool"],
 )
 def test_sizes_must_be_integers(build, message):
     with pytest.raises(ConfigurationError, match=message):
