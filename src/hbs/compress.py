@@ -7,7 +7,10 @@ its probes onto the nullspace of the nodes' own test rows (so the samples
 see only off-diagonal contributions), its discrepancy blocks from
 least-squares solves against the test rows that reuse the same factor, one
 probe side at a time, and lifts its samples into the parent level's
-test/sample stacks until the root core is solved directly.
+test/sample stacks until the root core is solved directly.  Nodes of a level
+are independent, so each level is one pass over L2-sized ranges of nodes:
+a range's bases, discrepancy blocks and lift run back to back while its
+samples are still in cache.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -28,6 +31,16 @@ from .flops import add_madds, matmul
 from .linalg import STREAM_OMEGA, STREAM_PSI, col, gaussian_matrix, lstsq_right, nullspace
 from .oracle import MatVecOracle
 from .tree import ClusterTree, build_tree
+
+# Floats per sample array in one node range of the sweep (512 KiB), rounded down
+# to an even node count of at least two.  A range's probe factors, solves and lift
+# temporaries then stay near a core's L2 cache instead of streaming a whole
+# level through DRAM once per step.  On a 2-vCPU Xeon with 2 MiB of L2 per core
+# and one BLAS thread, the synthetic-coarse sweep (n=16384, r=40, s=168) took a
+# median 0.57 s against 0.73 s with whole levels (5 interleaved runs each; 16K to
+# 256K floats a range were within noise of each other), and its traced peak fell
+# from 147 to 90 MB.  The blocks are bitwise the same for any range size.
+_SWEEP_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,7 @@ class SampleSet:
     z: np.ndarray
 
     def __post_init__(self):
-        arrays = (self.omega, self.psi, self.y, self.z)
+        arrays = self.arrays
         if not all(isinstance(a, np.ndarray) for a in arrays):
             kinds = sorted({type(a).__name__ for a in arrays})
             raise DimensionError(f"sample matrices must be numpy arrays, got {kinds}")
@@ -100,6 +113,11 @@ class SampleSet:
     def __getitem__(self, index) -> "SampleSet":
         """The quadruple restricted by one index, e.g. one leaf's rows."""
         return self.map(lambda a: a[index])
+
+    @property
+    def arrays(self) -> tuple:
+        """(omega, psi, y, z)."""
+        return self.omega, self.psi, self.y, self.z
 
     @property
     def rows(self) -> int:
@@ -194,8 +212,12 @@ def compress_from_samples(
     samples: SampleSet, tree: ClusterTree, config: CompressionConfig
 ) -> HbsFactorization:
     """Run the level sweep on an already-drawn sample quadruple (the
-    post-sampling arithmetic; touches no oracle).  Each level is one stack
-    per node size, on real rows only: padded rows make omega rank deficient.
+    post-sampling arithmetic; touches no oracle).  Each level is one pass
+    over ranges of an even number of nodes, at most _SWEEP_CHUNK floats per
+    sample array.  A range takes one stack per node size for its bases and
+    discrepancy blocks, on real rows only: padded rows make omega rank
+    deficient.  Its padded blocks then lift at once into its parents' rows
+    of the next level's stacks.
     Samples out of floating-point range raise NonFiniteError: at numpy's
     first overflow or invalid operation in the sweep, or, for what LAPACK
     does not flag, at a non-finite block in the result.
@@ -211,23 +233,32 @@ def compress_from_samples(
     replace(config, probes=samples.probes).validate_for(tree)
     r = config.rank
     f = HbsFactorization.zeros(tree, r)
+    # A view of the caller's samples when leaves are uniform: read, never written.
     stack = samples.map(lambda a: fill_records(a, tree.real_rows))
     for level in range(tree.depth, 0, -1):
         sizes = np.array(node_sizes(tree, r, level))
-        classes = np.unique(sizes)
-        for size in classes:
-            # A slice keeps a view when the whole level has one size.
-            members = slice(None) if classes.size == 1 else np.flatnonzero(sizes == size)
-            ns = stack[members, :size]
-            try:
-                u, v, left, right = compress_node_bases(ns, r)
-            except IllConditionedProbeError as exc:
-                raise _at_node(exc, level, np.arange(sizes.size)[members][exc.index]) from exc
-            f.U[level][members, :size] = u
-            f.V[level][members, :size] = v
-            f.D[level][members, :size, :size] = compute_discrepancy(u, v, left, right)
-            del left, right  # level-sized, so freed before the lift
-        stack = lift_to_parent(f.U[level], f.V[level], f.D[level], stack, sizes)
+        nodes, rows, s = stack.omega.shape
+        step = max(2, _SWEEP_CHUNK // (rows * s) & ~1)
+        parent = stack.map(lambda _: np.empty((nodes // 2, 2 * r, s)))
+        for a in range(0, nodes, step):
+            b = min(a + step, nodes)
+            part, part_sizes = stack[a:b], sizes[a:b]
+            u_blk, v_blk, d_blk = f.U[level][a:b], f.V[level][a:b], f.D[level][a:b]
+            classes = np.unique(part_sizes)
+            for size in classes:
+                # A slice keeps a view when the whole range has one size.
+                members = slice(None) if classes.size == 1 else np.flatnonzero(part_sizes == size)
+                try:
+                    u, v, left, right = compress_node_bases(part[members, :size], r)
+                except IllConditionedProbeError as exc:
+                    raise _at_node(exc, level, a + np.arange(b - a)[members][exc.index]) from exc
+                u_blk[members, :size] = u
+                v_blk[members, :size] = v
+                d_blk[members, :size, :size] = compute_discrepancy(u, v, left, right)
+            lifted = lift_to_parent(u_blk, v_blk, d_blk, part, part_sizes)
+            for out, block in zip(parent.arrays, lifted.arrays):
+                out[a // 2 : b // 2] = block
+        stack = parent
     try:
         f.root_disc[...] = compute_root(stack[0])
     except IllConditionedProbeError as exc:

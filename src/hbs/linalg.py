@@ -10,6 +10,7 @@ Basis and solve routines treat a (..., rows, cols) stack matrix by matrix.
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -126,6 +127,15 @@ def _orthonormalize(a: np.ndarray):
     return q, inv, ratio
 
 
+@lru_cache(maxsize=16)
+def _sketch(cols: int, k: int) -> np.ndarray:
+    """The fixed read-only Gaussian cols x k start of every nullspace sketch,
+    drawn once per shape: the sweep asks for it once per node range."""
+    g = seeded_rng(0, STREAM_NULL).standard_normal((cols, k))
+    g.flags.writeable = False
+    return g
+
+
 def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
     """Factor a wide `m` (or stack) as M^+ = Q1 F for `lstsq_right` and
     sketch k columns of its nullspace, N = (I - Q1 Q1^T) G, projected
@@ -138,7 +148,7 @@ def nullspace(m: np.ndarray, k: int) -> ProbeFactor:
         raise DimensionError(f"need a wide matrix of nullity at least {k}, got {rows} x {cols}")
     unit, shift = _unit(m, "probe matrix")
     q1, inv, ratio = _orthonormalize(unit.swapaxes(-1, -2))
-    g = seeded_rng(0, STREAM_NULL).standard_normal((cols, k))
+    g = _sketch(cols, k)
     null = g - matmul(q1, matmul(q1.swapaxes(-1, -2), g))
     if 0 < k == cols - rows:
         null = _orthonormalize(null)[0]

@@ -84,15 +84,6 @@ def default_contour() -> Contour:
     )
 
 
-def circle_contour(radius: float = 1.0) -> Contour:
-    """Circle of the given radius, for closed-form kernel checks."""
-    r = float(radius)
-    return Contour(
-        radius=lambda t: np.full_like(np.asarray(t, dtype=np.float64), r),
-        dradius=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-    )
-
-
 # Layer kernels of target x and source y, from the components (dx, dy) of x - y,
 # r2 = |x - y|^2 and the unit normals n_x, n_y as component pairs; arrays broadcast.
 
@@ -126,16 +117,17 @@ def _diagonal_limit(kernel, contour, theta):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _layer_matrix(n, contour, kernel, diagonal=None):
+def _layer_matrix(n, contour, kernel, diagonal=None, order="C"):
     """Fill the n x n Nystrom matrix K[i, j] = w_j * kernel(i, j) in row
-    blocks.  The diagonal holds w_i times `diagonal(weights)`, or by default
-    the kernel's extrapolated smooth limit."""
+    blocks, stored in C or Fortran `order` with the same bits.  The diagonal
+    holds w_i times `diagonal(weights)`, or by default the kernel's
+    extrapolated smooth limit."""
     n = check_integer("n", n)
     if n < 16:
         raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
     theta, pts, normals, weights = contour.quadrature(n)
     diag = _diagonal_limit(kernel, contour, theta) if diagonal is None else diagonal(weights)
-    out = np.empty((n, n))
+    out = np.empty((n, n), order=order)
     rows_per_block = max(1, _ASSEMBLY_CHUNK // n)
     for start in range(0, n, rows_per_block):
         stop = min(start + rows_per_block, n)
@@ -144,6 +136,7 @@ def _layer_matrix(n, contour, kernel, diagonal=None):
         np.fill_diagonal(r2[:, start:stop], 1.0)  # keep self-pairs finite
         k = kernel(dx, dy, r2, normals.T[:, start:stop, None], normals.T)
         np.multiply(k, weights, out=out[start:stop])
+        del dx, dy, r2, k  # freed before the next block's are made
     np.fill_diagonal(out, weights * diag)
     return out
 
@@ -201,9 +194,13 @@ def ntd_oracle(n: int, contour: Contour) -> MatVecOracle:
     oracle: assembles both layer matrices, factorizes the second-kind part
     once, and applies the product without ever forming it densely."""
     s_mat = single_layer_matrix(n, contour)
-    system = adjoint_double_layer_matrix(n, contour)
+    # Fortran order is LAPACK's, so the factorization overwrites the system in
+    # place, and it skips the finite-entry scan and its n x n mask: distinct
+    # quadrature nodes give finite entries.  The oracle then holds two n x n
+    # matrices at its peak, not three, with the same bits.
+    system = _layer_matrix(n, contour, _adjoint_double_layer_kernel, order="F")
     system[np.diag_indices(n)] += 0.5
-    lu_piv = scipy.linalg.lu_factor(system)
+    lu_piv = scipy.linalg.lu_factor(system, overwrite_a=True, check_finite=False)
 
     def apply_batch(x):
         return s_mat @ scipy.linalg.lu_solve(lu_piv, x)

@@ -8,6 +8,7 @@ import pytest
 
 import hbs
 from hbs.factorization import HbsFactorization, node_sizes
+from hbs.operators import Contour
 from hbs.tree import build_tree
 
 
@@ -36,3 +37,12 @@ def dense_factorization(a):
     f.U[1][...] = f.V[1][...] = np.eye(n // 2)
     f.root_disc[...] = a
     return f
+
+
+def circle_contour(radius: float = 1.0) -> Contour:
+    """Circle of the given radius, for closed-form kernel checks."""
+    r = float(radius)
+    return Contour(
+        radius=lambda t: np.full_like(np.asarray(t, dtype=np.float64), r),
+        dradius=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
+    )

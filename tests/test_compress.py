@@ -1,11 +1,13 @@
 """Tests for the randomized compressor, stage by stage against dense oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hbs import compress
 from hbs.compress import (
     CompressionConfig,
     SampleSet,
@@ -541,6 +543,95 @@ class TestCompress:
         config = CompressionConfig(rank=4, leaf_threshold=16, seed=-1)
         with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
             compress_from_samples(samples, tree, config)
+
+
+class TestSweepRanges:
+    """Each level is one pass over node ranges; the ranges change no bit."""
+
+    @staticmethod
+    def sweep(samples, tree, config, chunk, monkeypatch):
+        """The sweep with `chunk` floats per range, its madds and its lift calls."""
+        monkeypatch.setattr(compress, "_SWEEP_CHUNK", chunk)
+        lifts = []
+
+        def counting_lift(*args):
+            lifts.append(args[0].shape[0])
+            return lift_to_parent(*args)
+
+        monkeypatch.setattr(compress, "lift_to_parent", counting_lift)
+        with count_madds() as counter:
+            f = compress_from_samples(samples, tree, config)
+        return f, counter.madds, lifts
+
+    @pytest.mark.parametrize(
+        "n, k, r, m", [(512, 4, 6, 16), (333, 4, 8, 24), (40, 3, 6, 20)],
+        ids=["uniform", "uneven", "depth-one"],
+    )
+    def test_bitwise_equal_to_whole_levels(self, n, k, r, m, monkeypatch):
+        # 2-node ranges (the smallest: a range must hold whole parents) against
+        # one range per level; on the uneven tree some ranges hold two leaf sizes
+        tree = build_tree(n, m)
+        a = to_dense(random_hbs(tree, k, seed=60))
+        config = CompressionConfig(rank=r, leaf_threshold=m, seed=61)
+        samples = sample_dense(a, config.validate_for(tree), seed=61)
+        f, madds, lifts = self.sweep(samples, tree, config, 1, monkeypatch)
+        g, whole_madds, whole_lifts = self.sweep(samples, tree, config, 1 << 40, monkeypatch)
+        assert lifts == [2] * (2**tree.depth - 1)
+        assert whole_lifts == [2**level for level in range(tree.depth, 0, -1)]
+        assert madds == whole_madds
+        assert np.array_equal(f.root_disc, g.root_disc)
+        for level in range(1, tree.depth + 1):
+            assert np.array_equal(f.U[level], g.U[level])
+            assert np.array_equal(f.V[level], g.V[level])
+            assert np.array_equal(f.D[level], g.D[level])
+
+    def test_ill_conditioned_leaf_in_later_range_names_node(self, monkeypatch):
+        # 2-row leaves in 2-node ranges: leaf 5 sits in the third range
+        n, s = 16, 6
+        tree = build_tree(n, 2)
+        monkeypatch.setattr(compress, "_SWEEP_CHUNK", 1)
+        omega = gaussian_matrix(n, s, 63, 0)
+        omega[11] = omega[10]  # leaf 5 owns rows 10 and 11
+        psi = gaussian_matrix(n, s, 63, 1)
+        samples = SampleSet(omega=omega, psi=psi, y=omega.copy(), z=psi.copy())
+        config = CompressionConfig(rank=1, leaf_threshold=2, probes=s, seed=63)
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            compress_from_samples(samples, tree, config)
+        assert excinfo.value.node_id == 2**tree.depth - 1 + 5
+        assert excinfo.value.level == tree.depth
+
+    def test_ill_conditioned_short_leaf_in_mixed_range_names_node(self, monkeypatch):
+        # leaves are (3, 3, 3, 2, 3, 2, 3, 2): the range of leaves 2 and 3
+        # holds both sizes, and leaf 3 is the second of its own size class
+        n, s = 21, 6
+        tree = build_tree(n, 4)
+        monkeypatch.setattr(compress, "_SWEEP_CHUNK", 1)
+        omega = gaussian_matrix(n, s, 44, 0)
+        begin = tree.offsets[3]
+        omega[begin + 1] = omega[begin]
+        psi = gaussian_matrix(n, s, 44, 1)
+        samples = SampleSet(omega=omega, psi=psi, y=omega.copy(), z=psi.copy())
+        config = CompressionConfig(rank=1, leaf_threshold=4, probes=s, seed=44)
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            compress_from_samples(samples, tree, config)
+        assert excinfo.value.node_id == 2**tree.depth - 1 + 3
+        assert excinfo.value.level == tree.depth
+
+    def test_sweep_peak_stays_near_a_level(self):
+        # synthetic-coarse shapes on 32 leaves of 128 rows: one sample array is
+        # 5.5 MB.  Whole-level steps peaked at 6.64 of them above the inputs,
+        # ranges of at most _SWEEP_CHUNK floats at 4.31 (with the 10 MB result)
+        n, r, m, s = 4096, 40, 160, 168
+        tree = build_tree(n, m)
+        samples = SampleSet(*(gaussian_matrix(n, s, 62, stream) for stream in range(4)))
+        config = CompressionConfig(rank=r, leaf_threshold=m, probes=s, seed=62)
+        tracemalloc.start()
+        try:
+            compress_from_samples(samples, tree, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * n * s
 
 
 def test_package_compress_attribute_is_the_module():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_factorization
 
+from hbs import linalg
 from hbs.bench import estimate_rel_err
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from hbs.flops import count_madds, matmul, svd_madds
@@ -195,6 +196,14 @@ class TestNullspace:
     def test_rejects_excess_nullity(self):
         with pytest.raises(DimensionError):
             nullspace(np.zeros((4, 6)), 3)
+
+    def test_sketch_is_drawn_once_per_shape(self):
+        # the sweep factors once per node range; every call shares one
+        # read-only draw of the named stream
+        g = linalg._sketch(9, 3)
+        assert linalg._sketch(9, 3) is g
+        assert np.array_equal(g, seeded_rng(0, STREAM_NULL).standard_normal((9, 3)))
+        assert not g.flags.writeable
 
 
 class TestLstsqRight:

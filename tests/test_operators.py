@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import circle_contour
 from scipy.spatial import cKDTree
 
 from hbs import operators
@@ -13,7 +15,6 @@ from hbs.errors import ConfigurationError, DimensionError
 from hbs.operators import (
     adjoint_double_layer_matrix,
     bie_oracle,
-    circle_contour,
     default_contour,
     dense_oracle,
     double_layer_matrix,
@@ -278,6 +279,33 @@ class TestNtdOracle:
         finally:
             sys.setswitchinterval(interval)
         assert oracle.matvec_count == (32 * 42, 32 * 42)
+
+    def test_in_place_factor_changes_no_bit(self):
+        # the system is assembled in Fortran order and factored in place; the
+        # products are those of lu_factor on a copy of the C-ordered system
+        n = 300
+        c = default_contour()
+        oracle = ntd_oracle(n, c)
+        s = single_layer_matrix(n, c)
+        system = adjoint_double_layer_matrix(n, c)
+        system[np.diag_indices(n)] += 0.5
+        lu_piv = scipy.linalg.lu_factor(system)
+        x = np.random.default_rng(9).standard_normal((n, 7))
+        assert np.array_equal(oracle.apply_batch(x), s @ scipy.linalg.lu_solve(lu_piv, x))
+        assert np.array_equal(
+            oracle.apply_transpose_batch(x), scipy.linalg.lu_solve(lu_piv, s.T @ x, trans=1)
+        )
+
+    def test_holds_two_matrices_at_peak(self):
+        # the single layer and the factored system, plus one assembly block
+        n = 2048
+        tracemalloc.start()
+        try:
+            ntd_oracle(n, default_contour())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * n * n
 
     def test_linearity(self):
         n = 64
