@@ -30,6 +30,9 @@ from .tree import ClusterTree
 
 DENSE_CAP_DEFAULT = 8192
 _ORTHONORMALITY_TOL = 1e-10
+# Floats (512 KB) per range of nodes in apply's down sweep, so that its
+# temporaries stay L2-sized, like compress._SWEEP_CHUNK in the sweep.
+_APPLY_CHUNK = 64 * 1024
 
 
 def node_sizes(tree: ClusterTree, rank: int, level: int) -> tuple[int, ...]:
@@ -169,6 +172,14 @@ def fill_records(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return records
 
 
+def _expand(out, bases, parent, disc, inputs):
+    """out = bases @ parent + disc @ inputs; `out` may be `inputs`, which is
+    read first, so the only temporary is the discrepancy product."""
+    part = disc @ inputs
+    np.matmul(bases, parent, out=out)
+    out += part
+
+
 @np.errstate(over="call", invalid="call", call=raise_out_of_range)
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Apply the represented operator (or its transpose) to the columns of q.
@@ -177,6 +188,8 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     core couples the two halves, and the downward pass expands through
     column bases while discrepancy blocks re-inject what the bases miss:
     one stacked product per level and pass, one madd per stored float and column.
+    Besides the up sweep's stacks and the result, a call allocates only
+    temporaries of at most _APPLY_CHUNK floats, and it never writes q.
     A product that overflows, or an invalid operation, raises NonFiniteError.
     """
     q = check_real("apply input", q)
@@ -197,12 +210,22 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
         qhat = up_bases[level].transpose(0, 2, 1) @ x[level]
         x[level - 1] = qhat.reshape(1 << (level - 1), 2 * r, c)
 
+    # The down sweep writes each parent level's output over x[level], which is
+    # dead once its discrepancy product is taken; only the leaf level's is new.
     root_core = f.root_disc.T if transpose else f.root_disc
     y = root_core @ x[0][0]
     for level in range(1, depth + 1):
         disc = f.D[level].transpose(0, 2, 1) if transpose else f.D[level]
-        y = down_bases[level] @ y.reshape(1 << level, r, c)
-        y += disc @ x[level]
+        bases, parent, inputs = down_bases[level], y.reshape(1 << level, r, c), x[level]
+        y = inputs if level < depth else np.empty(inputs.shape)
+        nodes, rows = inputs.shape[:2]
+        step = max(1, _APPLY_CHUNK // max(1, rows * c))  # rank 0 or c = 0: empty stacks
+        if step >= nodes:  # one range, unsliced: one-vector applies feel each slice
+            _expand(y, bases, parent, disc, inputs)
+        else:
+            for a in range(0, nodes, step):
+                part = slice(a, a + step)
+                _expand(y[part], bases[part], parent[part], disc[part], inputs[part])
     if tree.min_leaf_size == tree.max_leaf_size:
         return y.reshape(tree.n, c)  # a view; a mask gather slows one-vector applies
     return y[tree.real_rows]

@@ -8,18 +8,38 @@ column basis, row basis, and discrepancy block (`factorization.record_views`),
 and the root core last.  Round trips are bit-exact.
 """
 
+import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .factorization import HbsFactorization, node_sizes, record_mask, record_views, stored_floats
+from .factorization import (
+    HbsFactorization,
+    fill_records,
+    node_sizes,
+    record_mask,
+    record_views,
+    stored_floats,
+)
 from .tree import build_tree
 
 MAGIC = b"HBSF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQIII")  # magic, version, n, rank, depth, leaf_threshold
-_CHUNK_FLOATS = 1 << 17  # 1 MiB: records are written in chunks, not level-sized copies
+_CHUNK_FLOATS = 1 << 17  # 1 MiB: records are written and read in chunks, not level-sized copies
+
+
+def _record_chunks(tree, rank: int, level: int):
+    """One level's node records in chunks of at most _CHUNK_FLOATS, through one
+    reused buffer: yields each chunk's node slice, its records and the mask of
+    their real entries, None when the level has no padding."""
+    mask = record_mask(tree, rank, level, column_major=True)
+    padded, step = not mask.all(), max(1, _CHUNK_FLOATS // max(1, mask.shape[1]))
+    buffer = np.empty((min(step, len(mask)), mask.shape[1]), dtype="<f8")
+    for first in range(0, len(mask), step):
+        chunk = slice(first, first + step)
+        yield chunk, buffer[: len(mask[chunk])], mask[chunk] if padded else None
 
 
 def save_factorization(f: HbsFactorization, path) -> None:
@@ -33,71 +53,71 @@ def save_factorization(f: HbsFactorization, path) -> None:
         for level in levels:
             fh.write(np.array(node_sizes(tree, r, level), dtype="<u4").tobytes())
         for level in levels:
-            mask = record_mask(tree, r, level, column_major=True)
-            padded, step = not mask.all(), max(1, _CHUNK_FLOATS // max(1, mask.shape[1]))
-            buffer = np.empty((min(step, len(mask)), mask.shape[1]), dtype="<f8")
-            for first in range(0, len(mask), step):
-                chunk = slice(first, first + step)
-                records = buffer[: len(mask[chunk])]
+            for chunk, records, real in _record_chunks(tree, r, level):
                 for view, stacks in zip(record_views(records, r, True), (f.U, f.V, f.D)):
                     view[...] = stacks[level][chunk]
-                fh.write(records[mask[chunk]] if padded else records)
+                fh.write(records if real is None else records[real])
         fh.write(np.ascontiguousarray(f.root_disc.T, dtype="<f8"))
 
 
-def _take(buffer, offset, nbytes, what):
-    if offset + nbytes > len(buffer):
+def _read_into(fh, out, what):
+    """Fill the contiguous buffer `out` from `fh`; FormatError if the file ends first."""
+    offset, nbytes = fh.tell(), memoryview(out).nbytes
+    if fh.readinto(out) != nbytes:
         raise FormatError(f"truncated file: {what} needs {nbytes} bytes past offset {offset}")
-    return buffer[offset : offset + nbytes], offset + nbytes
+    return out
 
 
 def load_factorization(path) -> HbsFactorization:
     """Read a factorization written by `save_factorization`; raises FormatError
-    on a bad header (magic, version, tree or node sizes), truncation or trailing bytes."""
+    on a bad header (magic, version, tree or node sizes), truncation or trailing
+    bytes.  Blocks stream through 1 MiB chunks: no buffer holds the file."""
     with open(path, "rb") as fh:
-        buffer = memoryview(fh.read())  # slices without copying
-    raw, offset = _take(buffer, 0, _HEADER.size, "header")
-    magic, version, n, rank, depth, leaf_threshold = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        raw = _read_into(fh, bytearray(_HEADER.size), "header")
+        magic, version, n, rank, depth, leaf_threshold = _HEADER.unpack(raw)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version}")
 
-    if 8 * n > len(buffer):  # leaf discrepancies alone hold at least n floats
-        raise FormatError(f"truncated file: {len(buffer)} bytes cannot hold an n={n} operator")
-    try:
-        tree = build_tree(n, leaf_threshold)
-    except ConfigurationError as exc:
-        raise FormatError(f"header describes no tree: {exc}") from exc
-    if tree.depth != depth:
-        raise FormatError(
-            f"header depth {depth} does not match the depth-{tree.depth} tree for "
-            f"n={n}, leaf threshold {leaf_threshold}"
-        )
-    levels = range(1, depth + 1)
-    expected = np.array([q for level in levels for q in node_sizes(tree, rank, level)])
-    raw, offset = _take(buffer, offset, 4 * expected.size, "node dimensions")
-    rows = np.frombuffer(raw, dtype="<u4")
-    mismatch = np.flatnonzero(rows != expected)
-    if mismatch.size:
-        node = mismatch[0]
-        raise FormatError(
-            f"node {node + 1}: header row count {rows[node]} does not match {expected[node]}"
-        )
+        if 8 * n > size:  # leaf discrepancies alone hold at least n floats
+            raise FormatError(f"truncated file: {size} bytes cannot hold an n={n} operator")
+        try:
+            tree = build_tree(n, leaf_threshold)
+        except ConfigurationError as exc:
+            raise FormatError(f"header describes no tree: {exc}") from exc
+        if tree.depth != depth:
+            raise FormatError(
+                f"header depth {depth} does not match the depth-{tree.depth} tree for "
+                f"n={n}, leaf threshold {leaf_threshold}"
+            )
+        levels = range(1, depth + 1)
+        expected = np.array([q for level in levels for q in node_sizes(tree, rank, level)])
+        rows = _read_into(fh, np.empty(expected.size, dtype="<u4"), "node dimensions")
+        mismatch = np.flatnonzero(rows != expected)
+        if mismatch.size:
+            node = mismatch[0]
+            raise FormatError(
+                f"node {node + 1}: header row count {rows[node]} does not match {expected[node]}"
+            )
 
-    # Check the size of the block section before allocating anything.
-    nbytes, remain = 8 * stored_floats(tree, rank), len(buffer) - offset
-    if remain != nbytes:
-        what = "truncated file" if remain < nbytes else "trailing bytes"
-        raise FormatError(f"{what}: blocks need {nbytes} bytes, {remain} remain")
+        # Check the size of the block section before allocating anything.
+        nbytes, remain = 8 * stored_floats(tree, rank), size - fh.tell()
+        if remain != nbytes:
+            what = "truncated file" if remain < nbytes else "trailing bytes"
+            raise FormatError(f"{what}: blocks need {nbytes} bytes, {remain} remain")
 
-    # Node by node, unlike save: its many small block views keep glibc from trimming
-    # the heap the next large apply reuses (read level-wise, apply_block_s ran 36% slower).
-    f = HbsFactorization.zeros(tree, rank)
-    blocks = [b for level in levels for j, q in enumerate(node_sizes(tree, rank, level))
-              for b in (f.U[level][j, :q], f.V[level][j, :q], f.D[level][j, :q, :q])]
-    for block in (*blocks, f.root_disc):
-        data = np.frombuffer(buffer, dtype="<f8", count=block.size, offset=offset)
-        block[...] = data.reshape(block.shape, order="F")
-        offset += 8 * block.size
+        f = HbsFactorization.zeros(tree, rank)
+        for level in levels:
+            for chunk, records, real in _record_chunks(tree, rank, level):
+                if real is None:
+                    _read_into(fh, records, "blocks")
+                else:  # the real floats, read to the buffer's front, into zeroed records
+                    data = records.reshape(-1)[: np.count_nonzero(real)]
+                    records = fill_records(_read_into(fh, data, "blocks"), real)
+                for view, stacks in zip(record_views(records, rank, True), (f.U, f.V, f.D)):
+                    stacks[level][chunk] = view
+        root = _read_into(fh, np.empty(f.root_disc.shape, dtype="<f8"), "root core")
+        f.root_disc[...] = root.T
     return f

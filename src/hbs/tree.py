@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, check_integer
+from .errors import ConfigurationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,6 @@ class ClusterTree:
     depth: int
     leaf_threshold: int
     offsets: tuple[int, ...] = field(repr=False)  # 2^depth + 1 leaf boundaries
-
-    def bounds(self, level: int) -> tuple[int, ...]:
-        """The 2^level + 1 boundaries of the nodes of one level; node j owns
-        [bounds[j], bounds[j + 1])."""
-        if level < 0 or level > self.depth:
-            raise DimensionError(f"level {level} outside [0, {self.depth}]")
-        return self.offsets[:: 1 << (self.depth - level)]
 
     @cached_property
     def leaf_sizes(self) -> tuple[int, ...]:

@@ -28,6 +28,12 @@ def node_blocks(f, level, j):
     return f.U[level][j, :rows], f.V[level][j, :rows], f.D[level][j, :rows, :rows]
 
 
+def level_bounds(tree, level):
+    """The 2^level + 1 boundaries of the nodes of one level of `tree`; node j
+    owns [bounds[j], bounds[j + 1])."""
+    return tree.offsets[:: 1 << (tree.depth - level)]
+
+
 def dense_factorization(a):
     """A depth-1 factorization of the n x n matrix `a` (n even) whose apply is
     exactly `a @ q`: rank n/2, identity bases, zero discrepancies and `a` as

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import level_bounds
 
 from hbs import compress
 from hbs.compress import (
@@ -122,7 +123,7 @@ class TestLeafNodeSamples:
         a = np.eye(6)
         samples = sample_dense(a, 3, seed=4)
         tree = build_tree(6, 3)
-        begin, end = tree.bounds(0)  # hypothetical whole-matrix slice
+        begin, end = level_bounds(tree, 0)  # hypothetical whole-matrix slice
         ns = samples[begin:end]
         np.testing.assert_array_equal(ns.omega, samples.omega)
 

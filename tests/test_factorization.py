@@ -1,11 +1,14 @@
 """Tests for the telescoping factorization container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import node_blocks
+from conftest import level_bounds, node_blocks
 
 import hbs
+from hbs import factorization
 from hbs.errors import (
     ConfigurationError,
     DimensionError,
@@ -18,6 +21,7 @@ from hbs.factorization import (
     apply,
     apply_matrix,
     apply_transpose,
+    fill_records,
     random_hbs,
     storage,
     to_dense,
@@ -147,6 +151,89 @@ class TestApplyMatrix:
         f = random_hbs(build_tree(64, 8), 3, 1)
         with pytest.raises(NonFiniteError, match="overflow: an operand or a product left"):
             apply_matrix(f, np.full((64, 1), 1e308), transpose=transpose)
+
+
+def per_level_apply(f, q, transpose=False):
+    """Reference apply: one stacked product per level and step, each into a
+    new array (the down sweep before it wrote in place, range by range)."""
+    tree, r, c = f.tree, f.rank, q.shape[1]
+    up_bases, down_bases = (f.U, f.V) if transpose else (f.V, f.U)
+    x = [None] * tree.depth + [fill_records(q, tree.real_rows)]
+    for level in range(tree.depth, 0, -1):
+        qhat = up_bases[level].transpose(0, 2, 1) @ x[level]
+        x[level - 1] = qhat.reshape(1 << (level - 1), 2 * r, c)
+    y = (f.root_disc.T if transpose else f.root_disc) @ x[0][0]
+    for level in range(1, tree.depth + 1):
+        disc = f.D[level].transpose(0, 2, 1) if transpose else f.D[level]
+        y = down_bases[level] @ y.reshape(1 << level, r, c)
+        y += disc @ x[level]
+    return y[tree.real_rows]
+
+
+class TestApplyInPlace:
+    """The down sweep writes over the up sweep's stacks, range by range."""
+
+    @pytest.mark.parametrize("chunk", [1, 5000, 1 << 40], ids=["one-node", "ragged", "whole-level"])
+    @pytest.mark.parametrize("n, m", [(512, 16), (333, 24)], ids=["uniform", "uneven"])
+    def test_bitwise_equal_to_per_level_apply(self, n, m, chunk, monkeypatch):
+        # one-node ranges, ranges that leave a shorter last one, and one range
+        # per level; c = 45 is the synthetic-fine probe count
+        f = random_hbs(build_tree(n, m), 4, seed=40)
+        monkeypatch.setattr(factorization, "_APPLY_CHUNK", chunk)
+        rng = np.random.default_rng(41)
+        for c in (1, 2, 45, 64):
+            q = rng.standard_normal((n, c))
+            for transpose in (False, True):
+                want = per_level_apply(f, q, transpose)
+                assert np.array_equal(apply_matrix(f, q, transpose=transpose), want)
+
+    @pytest.mark.parametrize("k, c", [(0, 3), (2, 0)], ids=["rank-zero", "no-columns"])
+    def test_empty_stacks(self, k, c):
+        # rank 0 leaves the parent levels 0 rows; c = 0 empties every stack
+        f = random_hbs(build_tree(40, 5), k, seed=47)
+        q = np.random.default_rng(48).standard_normal((40, c))
+        for transpose in (False, True):
+            want = per_level_apply(f, q, transpose)
+            assert np.array_equal(apply_matrix(f, q, transpose=transpose), want)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["one-node", "whole-level"])
+    def test_input_is_not_written(self, chunk, monkeypatch):
+        # on a uniform tree the leaf stack is a view of q itself
+        tree = build_tree(256, 16)
+        f = random_hbs(tree, 4, seed=42)
+        monkeypatch.setattr(factorization, "_APPLY_CHUNK", chunk)
+        q = np.random.default_rng(43).standard_normal((256, 8))
+        assert np.shares_memory(fill_records(q, tree.real_rows), q)
+        before = q.copy()
+        for transpose in (False, True):
+            apply_matrix(f, q, transpose=transpose)
+            assert np.array_equal(q, before)
+
+    def test_no_state_is_kept_on_the_factorization(self):
+        # the first apply caches total_floats; later ones add nothing
+        f = random_hbs(build_tree(256, 16), 4, seed=44)
+        apply_matrix(f, np.ones((256, 1)))
+        attributes = dict(vars(f))
+        apply_matrix(f, np.ones((256, 64)))
+        assert vars(f).keys() == attributes.keys()
+        assert all(vars(f)[key] is value for key, value in attributes.items())
+
+    def test_peak_is_the_up_sweep_stacks_and_the_output(self):
+        # 64 columns on 256 leaves of 16 rows: the output (2 MB) is larger
+        # than the range temporaries' bound of 1 MiB; a level-sized
+        # discrepancy product or a second level output would pass it
+        n, c, r = 4096, 64, 4
+        f = random_hbs(build_tree(n, 16), r, seed=45)
+        q = np.random.default_rng(46).standard_normal((n, c))
+        stacks = (2 ** (f.tree.depth + 1) - 2) * r * c
+        tracemalloc.start()
+        try:
+            for transpose in (False, True, False):
+                apply_matrix(f, q, transpose=transpose)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (stacks + n * c) + (1 << 20)
 
 
 class TestNonRealInput:
@@ -286,7 +373,7 @@ class TestRandomHbs:
         tree = build_tree(120, 15)
         a = to_dense(random_hbs(tree, k, seed=18))
         for level in range(1, tree.depth + 1):
-            b = tree.bounds(level)
+            b = level_bounds(tree, level)
             for j2 in (1, len(b) - 2):
                 block = a[b[0] : b[1], b[j2] : b[j2 + 1]]
                 sv = np.linalg.svd(block, compute_uv=False)

@@ -1,13 +1,17 @@
 """Tests for the factorization container format."""
 
+import hashlib
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import node_blocks
 
+from hbs import serialize
 from hbs.errors import FormatError
-from hbs.factorization import apply, random_hbs, to_dense
+from hbs.factorization import HbsFactorization, apply, random_hbs, to_dense
 from hbs.serialize import load_factorization, save_factorization
 from hbs.tree import build_tree
 
@@ -66,6 +70,42 @@ class TestRoundTrip:
         )
         subprocess.run([sys.executable, "-c", script], check=True, env=child_env)
         np.testing.assert_array_equal(np.load(tmp_path / "u.npy"), apply(f, q))
+
+
+class TestStreaming:
+    """Save and load go through 1 MiB record chunks, never the whole file."""
+
+    @pytest.mark.parametrize("chunk", [1, 100, 1 << 40], ids=["one-node", "ragged", "whole-level"])
+    @pytest.mark.parametrize("n", [96, 101], ids=["uniform", "uneven"])
+    def test_chunks_change_no_byte(self, tmp_path, n, chunk, monkeypatch):
+        # one-node chunks reuse the buffer for leaves of both sizes, whose
+        # padding must come back zero
+        f = random_hbs(build_tree(n, 12), 4, seed=11)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        monkeypatch.setattr(serialize, "_CHUNK_FLOATS", chunk)
+        g = load_factorization(path)
+        assert_identical(f, g.validate())
+        save_factorization(g, path)
+        assert hashlib.sha256(path.read_bytes()).digest() == digest
+
+    def test_peak_is_the_stacks(self, tmp_path):
+        # a 4.2 MB file: holding it whole, or a level-sized copy, would pass
+        # the bound of the loaded stacks plus 2 MiB
+        f = random_hbs(build_tree(8192, 32), 8, seed=12)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        stacks = f.root_disc.nbytes + sum(s.nbytes for s in (*f.U[1:], *f.V[1:], *f.D[1:]))
+        assert path.stat().st_size > 4_000_000
+        del f
+        tracemalloc.start()
+        try:
+            load_factorization(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stacks + (2 << 20)
 
 
 def blocks_in_level_order(f):
@@ -145,6 +185,38 @@ class TestFormatErrors:
         save_factorization(f, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(FormatError):
+            load_factorization(path)
+
+    @pytest.mark.parametrize("cut, match", [(-16, "truncated file: blocks need"),
+                                            (8, "trailing bytes: blocks need")],
+                             ids=["truncated", "trailing"])
+    def test_size_is_checked_before_allocating(self, tmp_path, monkeypatch, cut, match):
+        f = random_hbs(build_tree(101, 12), 4, seed=13)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+
+        def zeros(cls, *args):
+            raise AssertionError("stacks allocated before the size check")
+
+        monkeypatch.setattr(HbsFactorization, "zeros", classmethod(zeros))
+        with pytest.raises(FormatError, match=match):
+            load_factorization(path)
+
+    @pytest.mark.parametrize("missing", [8, 8 * 4 * 4 * 4 + 8], ids=["root", "leaf-records"])
+    def test_short_read_is_format_error(self, tmp_path, monkeypatch, missing):
+        # the file shrinks after its size was read: the read that comes up
+        # short raises, and no zero-filled factorization comes back
+        f = random_hbs(build_tree(101, 12), 4, seed=14)
+        path = tmp_path / "f.hbsf"
+        save_factorization(f, path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-missing])
+        fstat = os.fstat
+        monkeypatch.setattr(serialize.os, "fstat", lambda fd: os.stat_result(
+            (*fstat(fd)[:6], full, *fstat(fd)[7:10])))
+        with pytest.raises(FormatError, match="truncated file: .* needs .* bytes past offset"):
             load_factorization(path)
 
     def test_oversized_header_fields(self, tmp_path):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import level_bounds
 
-from hbs.errors import ConfigurationError, DimensionError
+from hbs.errors import ConfigurationError
 from hbs.tree import build_tree
 
 
@@ -43,7 +44,7 @@ class TestBuildTree:
             floor, ceil = n // 2**tree.depth, -(-n // 2**tree.depth)
             assert set(tree.leaf_sizes) <= {floor, ceil}
             for level in range(tree.depth):
-                parents, children = tree.bounds(level), tree.bounds(level + 1)
+                parents, children = level_bounds(tree, level), level_bounds(tree, level + 1)
                 for j in range(2**level):
                     begin, mid, end = children[2 * j : 2 * j + 3]
                     assert (begin, end) == (parents[j], parents[j + 1])
@@ -92,25 +93,18 @@ class TestRealRows:
 class TestNodesAtLevel:
     def test_root_level(self):
         tree = build_tree(400, 100)
-        assert tree.bounds(0) == (0, 400)
+        assert level_bounds(tree, 0) == (0, 400)
 
     def test_leaf_level_partitions(self):
         tree = build_tree(400, 100)
-        leaves = tree.bounds(2)
+        leaves = level_bounds(tree, 2)
         assert len(leaves) - 1 == 4
         assert leaves[0] == 0 and leaves[-1] == 400
 
     def test_every_level_partitions_range(self):
         tree = build_tree(97, 13)
         for level in range(tree.depth + 1):
-            bounds = tree.bounds(level)
+            bounds = level_bounds(tree, level)
             assert len(bounds) - 1 == 2**level
             assert bounds[0] == 0 and bounds[-1] == 97
             assert all(begin < end for begin, end in zip(bounds, bounds[1:]))
-
-    def test_rejects_out_of_range(self):
-        tree = build_tree(400, 100)
-        with pytest.raises(DimensionError):
-            tree.bounds(3)
-        with pytest.raises(DimensionError):
-            tree.bounds(-1)
