@@ -30,16 +30,25 @@ _HEADER = struct.Struct("<4sIQIII")  # magic, version, n, rank, depth, leaf_thre
 _CHUNK_FLOATS = 1 << 17  # 1 MiB: records are written and read in chunks, not level-sized copies
 
 
-def _record_chunks(tree, rank: int, level: int):
-    """One level's node records in chunks of at most _CHUNK_FLOATS, through one
-    reused buffer: yields each chunk's node slice, its records and the mask of
-    their real entries, None when the level has no padding."""
-    mask = record_mask(tree, rank, level, column_major=True)
-    padded, step = not mask.all(), max(1, _CHUNK_FLOATS // max(1, mask.shape[1]))
-    buffer = np.empty((min(step, len(mask)), mask.shape[1]), dtype="<f8")
-    for first in range(0, len(mask), step):
-        chunk = slice(first, first + step)
-        yield chunk, buffer[: len(mask[chunk])], mask[chunk] if padded else None
+def _record_chunks(tree, rank: int):
+    """The node records of every non-root level in level order, in chunks of at
+    most _CHUNK_FLOATS floats (or one node), all through one reused buffer:
+    yields each chunk's level, node slice, records and the mask of their real
+    entries, None when the level has no padding."""
+    levels = []
+    for level in range(1, tree.depth + 1):
+        rows = max(node_sizes(tree, rank, level))
+        width = rows * (2 * rank + rows)
+        levels.append((level, 1 << level, width, max(1, _CHUNK_FLOATS // max(1, width))))
+    buffer = np.empty(max(min(step, nodes) * width for _, nodes, width, step in levels), "<f8")
+    for level, nodes, width, step in levels:
+        padded = level == tree.depth and tree.min_leaf_size < tree.max_leaf_size
+        mask = record_mask(tree, rank, level, column_major=True) if padded else None
+        for first in range(0, nodes, step):
+            count = min(step, nodes - first)
+            chunk = slice(first, first + count)
+            records = buffer[: count * width].reshape(count, width)
+            yield level, chunk, records, None if mask is None else mask[chunk]
 
 
 def save_factorization(f: HbsFactorization, path) -> None:
@@ -52,11 +61,10 @@ def save_factorization(f: HbsFactorization, path) -> None:
         )
         for level in levels:
             fh.write(np.array(node_sizes(tree, r, level), dtype="<u4").tobytes())
-        for level in levels:
-            for chunk, records, real in _record_chunks(tree, r, level):
-                for view, stacks in zip(record_views(records, r, True), (f.U, f.V, f.D)):
-                    view[...] = stacks[level][chunk]
-                fh.write(records if real is None else records[real])
+        for level, chunk, records, real in _record_chunks(tree, r):
+            for view, stacks in zip(record_views(records, r, True), (f.U, f.V, f.D)):
+                view[...] = stacks[level][chunk]
+            fh.write(records if real is None else records[real])
         fh.write(np.ascontiguousarray(f.root_disc.T, dtype="<f8"))
 
 
@@ -109,15 +117,14 @@ def load_factorization(path) -> HbsFactorization:
             raise FormatError(f"{what}: blocks need {nbytes} bytes, {remain} remain")
 
         f = HbsFactorization.zeros(tree, rank)
-        for level in levels:
-            for chunk, records, real in _record_chunks(tree, rank, level):
-                if real is None:
-                    _read_into(fh, records, "blocks")
-                else:  # the real floats, read to the buffer's front, into zeroed records
-                    data = records.reshape(-1)[: np.count_nonzero(real)]
-                    records = fill_records(_read_into(fh, data, "blocks"), real)
-                for view, stacks in zip(record_views(records, rank, True), (f.U, f.V, f.D)):
-                    stacks[level][chunk] = view
+        for level, chunk, records, real in _record_chunks(tree, rank):
+            if real is None:
+                _read_into(fh, records, "blocks")
+            else:  # the real floats, read to the buffer's front, into zeroed records
+                data = records.reshape(-1)[: np.count_nonzero(real)]
+                records = fill_records(_read_into(fh, data, "blocks"), real)
+            for view, stacks in zip(record_views(records, rank, True), (f.U, f.V, f.D)):
+                stacks[level][chunk] = view
         root = _read_into(fh, np.empty(f.root_disc.shape, dtype="<f8"), "root core")
         f.root_disc[...] = root.T
     return f

@@ -220,8 +220,8 @@ class TestApplyInPlace:
 
     def test_peak_is_the_up_sweep_stacks_and_the_output(self):
         # 64 columns on 256 leaves of 16 rows: the output (2 MB) is larger
-        # than the range temporaries' bound of 1 MiB; a level-sized
-        # discrepancy product or a second level output would pass it
+        # than the 1 MiB left for range temporaries, so a level-sized
+        # discrepancy product or a second leaf-level output would exceed it
         n, c, r = 4096, 64, 4
         f = random_hbs(build_tree(n, 16), r, seed=45)
         q = np.random.default_rng(46).standard_normal((n, c))

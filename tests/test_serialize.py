@@ -75,11 +75,11 @@ class TestRoundTrip:
 class TestStreaming:
     """Save and load go through 1 MiB record chunks, never the whole file."""
 
-    @pytest.mark.parametrize("chunk", [1, 100, 1 << 40], ids=["one-node", "ragged", "whole-level"])
+    @pytest.mark.parametrize("chunk", [1, 1000, 1 << 40], ids=["one-node", "ragged", "whole-level"])
     @pytest.mark.parametrize("n", [96, 101], ids=["uniform", "uneven"])
     def test_chunks_change_no_byte(self, tmp_path, n, chunk, monkeypatch):
         # one-node chunks reuse the buffer for leaves of both sizes, whose
-        # padding must come back zero
+        # padding must come back zero; 1000 floats leave a shorter last chunk
         f = random_hbs(build_tree(n, 12), 4, seed=11)
         path = tmp_path / "f.hbsf"
         save_factorization(f, path)
@@ -91,8 +91,8 @@ class TestStreaming:
         assert hashlib.sha256(path.read_bytes()).digest() == digest
 
     def test_peak_is_the_stacks(self, tmp_path):
-        # a 4.2 MB file: holding it whole, or a level-sized copy, would pass
-        # the bound of the loaded stacks plus 2 MiB
+        # a 4.2 MB file: holding it whole, or a level-sized copy, would
+        # exceed the bound of the loaded stacks plus 2 MiB
         f = random_hbs(build_tree(8192, 32), 8, seed=12)
         path = tmp_path / "f.hbsf"
         save_factorization(f, path)
