@@ -20,6 +20,7 @@ from .factorization import (
     node_sizes,
     record_mask,
     record_views,
+    stack_shapes,
     stored_floats,
 )
 from .tree import build_tree
@@ -37,9 +38,9 @@ def _record_chunks(tree, rank: int):
     entries, None when the level has no padding."""
     levels = []
     for level in range(1, tree.depth + 1):
-        rows = max(node_sizes(tree, rank, level))
+        nodes, rows, _ = stack_shapes(tree, rank, level)[2]
         width = rows * (2 * rank + rows)
-        levels.append((level, 1 << level, width, max(1, _CHUNK_FLOATS // max(1, width))))
+        levels.append((level, nodes, width, max(1, _CHUNK_FLOATS // max(1, width))))
     buffer = np.empty(max(min(step, nodes) * width for _, nodes, width, step in levels), "<f8")
     for level, nodes, width, step in levels:
         padded = level == tree.depth and tree.min_leaf_size < tree.max_leaf_size
