@@ -28,19 +28,9 @@ from .errors import (
 )
 from .factorization import HbsFactorization, fill_records, node_sizes
 from .flops import add_madds, matmul
-from .linalg import STREAM_OMEGA, STREAM_PSI, col, gaussian_matrix, lstsq_right, nullspace
+from .linalg import STREAM_OMEGA, STREAM_PSI, blocks, col, gaussian_matrix, lstsq_right, nullspace
 from .oracle import MatVecOracle
 from .tree import ClusterTree, build_tree
-
-# Floats per sample array in one node range of the sweep (512 KiB), rounded down
-# to an even node count of at least two.  A range's probe factors, solves and lift
-# temporaries then stay near a core's L2 cache instead of streaming a whole
-# level through DRAM once per step.  On a 2-vCPU Xeon with 2 MiB of L2 per core
-# and one BLAS thread, the synthetic-coarse sweep (n=16384, r=40, s=168) took a
-# median 0.57 s against 0.73 s with whole levels (5 interleaved runs each; 16K to
-# 256K floats a range were within noise of each other), and its traced peak fell
-# from 147 to 90 MB.  The blocks are bitwise the same for any range size.
-_SWEEP_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -213,8 +203,9 @@ def compress_from_samples(
 ) -> HbsFactorization:
     """Run the level sweep on an already-drawn sample quadruple (the
     post-sampling arithmetic; touches no oracle).  Each level is one pass
-    over ranges of an even number of nodes, at most _SWEEP_CHUNK floats per
-    sample array.  A range takes one stack per node size for its bases and
+    over the `linalg.blocks` of its parents, a range of nodes holding their
+    children: at most linalg.L2_FLOATS floats per sample array, and two
+    nodes at least.  A range takes one stack per node size for its bases and
     discrepancy blocks, on real rows only: padded rows make omega rank
     deficient.  Its padded blocks then lift at once into its parents' rows
     of the next level's stacks.
@@ -238,12 +229,11 @@ def compress_from_samples(
     for level in range(tree.depth, 0, -1):
         sizes = np.array(node_sizes(tree, r, level))
         nodes, rows, s = stack.omega.shape
-        step = max(2, _SWEEP_CHUNK // (rows * s) & ~1)
         parent = stack.map(lambda _: np.empty((nodes // 2, 2 * r, s)))
-        for a in range(0, nodes, step):
-            b = min(a + step, nodes)
-            part, part_sizes = stack[a:b], sizes[a:b]
-            u_blk, v_blk, d_blk = f.U[level][a:b], f.V[level][a:b], f.D[level][a:b]
+        for up in blocks(nodes // 2, 2 * rows * s):
+            down = slice(2 * up.start, 2 * up.stop)
+            part, part_sizes = stack[down], sizes[down]
+            u_blk, v_blk, d_blk = f.U[level][down], f.V[level][down], f.D[level][down]
             classes = np.unique(part_sizes)
             for size in classes:
                 # A slice keeps a view when the whole range has one size.
@@ -251,13 +241,14 @@ def compress_from_samples(
                 try:
                     u, v, left, right = compress_node_bases(part[members, :size], r)
                 except IllConditionedProbeError as exc:
-                    raise _at_node(exc, level, a + np.arange(b - a)[members][exc.index]) from exc
+                    j = down.start + np.arange(part_sizes.size)[members][exc.index]
+                    raise _at_node(exc, level, j) from exc
                 u_blk[members, :size] = u
                 v_blk[members, :size] = v
                 d_blk[members, :size, :size] = compute_discrepancy(u, v, left, right)
             lifted = lift_to_parent(u_blk, v_blk, d_blk, part, part_sizes)
             for out, block in zip(parent.arrays, lifted.arrays):
-                out[a // 2 : b // 2] = block
+                out[up] = block
         stack = parent
     try:
         f.root_disc[...] = compute_root(stack[0])

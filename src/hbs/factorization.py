@@ -25,14 +25,11 @@ from .errors import (
     raise_out_of_range,
 )
 from .flops import add_madds
-from .linalg import STREAM_SYNTHETIC, seeded_rng
+from .linalg import STREAM_SYNTHETIC, blocks, seeded_rng
 from .tree import ClusterTree
 
 DENSE_CAP_DEFAULT = 8192
 _ORTHONORMALITY_TOL = 1e-10
-# Floats (512 KB) per range of nodes in apply's down sweep, so that its
-# temporaries stay L2-sized, like compress._SWEEP_CHUNK in the sweep.
-_APPLY_CHUNK = 64 * 1024
 
 
 def node_sizes(tree: ClusterTree, rank: int, level: int) -> tuple[int, ...]:
@@ -152,10 +149,10 @@ def record_views(records: np.ndarray, rank: int, column_major: bool = False):
                  else b.reshape(nodes, rows, cols) for b, cols in blocks)
 
 
-def record_mask(tree: ClusterTree, rank: int, level: int, column_major: bool = False):
-    """Mask of the real entries of a level's node records; in row-major
-    order its True entries are the unpadded blocks' entries, node by node."""
-    real = tree.real_rows if level == tree.depth else np.ones((1 << level, 2 * rank), bool)
+def record_mask(real: np.ndarray, rank: int, column_major: bool = False):
+    """Mask of the real entries of node records whose real rows `real` marks,
+    one (nodes, rows) row per record; in row-major order its True entries are
+    the unpadded blocks' entries, node by node."""
     mask = np.empty((len(real), real.shape[1] * (2 * rank + real.shape[1])), dtype=bool)
     u, v, d = record_views(mask, rank, column_major)
     u[...] = v[...] = real[:, :, None]
@@ -172,14 +169,6 @@ def fill_records(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return records
 
 
-def _expand(out, bases, parent, disc, inputs):
-    """out = bases @ parent + disc @ inputs; `out` may be `inputs`, which is
-    read first, so the only temporary is the discrepancy product."""
-    part = disc @ inputs
-    np.matmul(bases, parent, out=out)
-    out += part
-
-
 @np.errstate(over="call", invalid="call", call=raise_out_of_range)
 def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Apply the represented operator (or its transpose) to the columns of q.
@@ -189,7 +178,7 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
     column bases while discrepancy blocks re-inject what the bases miss:
     one stacked product per level and pass, one madd per stored float and column.
     Besides the up sweep's stacks and the result, a call allocates only
-    temporaries of at most _APPLY_CHUNK floats, and it never writes q.
+    temporaries of at most linalg.L2_FLOATS floats, and it never writes q.
     A product that overflows, or an invalid operation, raises NonFiniteError.
     """
     q = check_real("apply input", q)
@@ -210,8 +199,10 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
         qhat = up_bases[level].transpose(0, 2, 1) @ x[level]
         x[level - 1] = qhat.reshape(1 << (level - 1), 2 * r, c)
 
-    # The down sweep writes each parent level's output over x[level], which is
-    # dead once its discrepancy product is taken; only the leaf level's is new.
+    # The down sweep writes each parent level's output over x[level], range by
+    # range: a range of x[level] is dead once its discrepancy product is taken,
+    # which is freed before the next range's is made.  Only the leaf level's
+    # output is new.
     root_core = f.root_disc.T if transpose else f.root_disc
     y = root_core @ x[0][0]
     for level in range(1, depth + 1):
@@ -219,13 +210,11 @@ def apply_matrix(f: HbsFactorization, q: np.ndarray, transpose: bool = False) ->
         bases, parent, inputs = down_bases[level], y.reshape(1 << level, r, c), x[level]
         y = inputs if level < depth else np.empty(inputs.shape)
         nodes, rows = inputs.shape[:2]
-        step = max(1, _APPLY_CHUNK // max(1, rows * c))  # rank 0 or c = 0: empty stacks
-        if step >= nodes:  # one range, unsliced: one-vector applies feel each slice
-            _expand(y, bases, parent, disc, inputs)
-        else:
-            for a in range(0, nodes, step):
-                part = slice(a, a + step)
-                _expand(y[part], bases[part], parent[part], disc[part], inputs[part])
+        for part in blocks(nodes, rows * c):
+            product = disc[part] @ inputs[part]
+            out = np.matmul(bases[part], parent[part], out=y[part])
+            out += product
+            del product
     if tree.min_leaf_size == tree.max_leaf_size:
         return y.reshape(tree.n, c)  # a view; a mask gather slows one-vector applies
     return y[tree.real_rows]
@@ -298,7 +287,8 @@ def random_hbs(tree: ClusterTree, k: int, seed: int) -> HbsFactorization:
     rng = seeded_rng(seed, STREAM_SYNTHETIC)
     f = HbsFactorization.zeros(tree, k)
     for level in range(1, tree.depth + 1):
-        mask = record_mask(tree, k, level)
+        real = tree.real_rows if level == tree.depth else np.ones((1 << level, 2 * k), bool)
+        mask = record_mask(real, k)
         u, v, d = record_views(fill_records(rng.standard_normal(np.count_nonzero(mask)), mask), k)
         u, v = np.linalg.qr(u)[0], np.linalg.qr(v)[0]
         visible = u @ (u.transpose(0, 2, 1) @ d @ v) @ v.transpose(0, 2, 1)

@@ -16,16 +16,8 @@ import scipy.sparse.linalg
 
 from . import factorization
 from .errors import DimensionError, check_integer
+from .linalg import blocks
 from .oracle import MatVecOracle
-
-# Entries per row block when assembling kernels.  A block's temporaries (dx, dy,
-# r2 and the kernel's intermediates, about eight arrays) then take 0.5 MiB each
-# and stay in a core's L2 cache, so each elementwise pass reads and writes cache,
-# not DRAM.  On a 2-vCPU Xeon with 2 MiB of L2 per core, double_layer_matrix(4800)
-# took a median 0.28-0.34 s with 16K to 128K entries a block against 0.61 s with
-# 4M (5 interleaved runs each), and the traced peak fell from 6.0 to 1.1 times the
-# 8 n^2-byte matrix at n=2048.
-_ASSEMBLY_CHUNK = 64 * 1024
 
 
 class Contour:
@@ -118,24 +110,22 @@ def _diagonal_limit(kernel, contour, theta):
 
 
 def _layer_matrix(n, contour, kernel, diagonal=None, order="C"):
-    """Fill the n x n Nystrom matrix K[i, j] = w_j * kernel(i, j) in row
-    blocks, stored in C or Fortran `order` with the same bits.  The diagonal
-    holds w_i times `diagonal(weights)`, or by default the kernel's
-    extrapolated smooth limit."""
+    """Fill the n x n Nystrom matrix K[i, j] = w_j * kernel(i, j) in the row
+    blocks of `linalg.blocks`, stored in C or Fortran `order` with the same
+    bits.  The diagonal holds w_i times `diagonal(weights)`, or by default the
+    kernel's extrapolated smooth limit."""
     n = check_integer("n", n)
     if n < 16:
         raise DimensionError(f"need at least 16 quadrature nodes, got {n}")
     theta, pts, normals, weights = contour.quadrature(n)
     diag = _diagonal_limit(kernel, contour, theta) if diagonal is None else diagonal(weights)
     out = np.empty((n, n), order=order)
-    rows_per_block = max(1, _ASSEMBLY_CHUNK // n)
-    for start in range(0, n, rows_per_block):
-        stop = min(start + rows_per_block, n)
-        dx, dy = (c[start:stop, None] - c for c in pts.T)
+    for rows in blocks(n, n):
+        dx, dy = (c[rows, None] - c for c in pts.T)
         r2 = dx * dx + dy * dy
-        np.fill_diagonal(r2[:, start:stop], 1.0)  # keep self-pairs finite
-        k = kernel(dx, dy, r2, normals.T[:, start:stop, None], normals.T)
-        np.multiply(k, weights, out=out[start:stop])
+        np.fill_diagonal(r2[:, rows], 1.0)  # keep self-pairs finite
+        k = kernel(dx, dy, r2, normals.T[:, rows, None], normals.T)
+        np.multiply(k, weights, out=out[rows])
         del dx, dy, r2, k  # freed before the next block's are made
     np.fill_diagonal(out, weights * diag)
     return out

@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from . import linalg
 from .errors import ConfigurationError, FormatError
 from .factorization import (
     HbsFactorization,
@@ -28,28 +29,28 @@ from .tree import build_tree
 MAGIC = b"HBSF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQIII")  # magic, version, n, rank, depth, leaf_threshold
-_CHUNK_FLOATS = 1 << 17  # 1 MiB: records are written and read in chunks, not level-sized copies
 
 
 def _record_chunks(tree, rank: int):
-    """The node records of every non-root level in level order, in chunks of at
-    most _CHUNK_FLOATS floats (or one node), all through one reused buffer:
-    yields each chunk's level, node slice, records and the mask of their real
-    entries, None when the level has no padding."""
-    levels = []
+    """The node records of every non-root level in level order, in the
+    `linalg.blocks` of their floats, all through one reused buffer: yields each
+    chunk's level, node slice, records and the mask of their real entries, None
+    when the level has no padding."""
+
+    def width(rows):
+        return rows * (2 * rank + rows)
+
+    # A chunk is one record, or at most L2_FLOATS floats and at most a level:
+    # 2^depth records of the widest kind.
+    widest = width(max(tree.max_leaf_size, 2 * rank))
+    buffer = np.empty(max(widest, min(linalg.L2_FLOATS, widest << tree.depth)), "<f8")
     for level in range(1, tree.depth + 1):
         nodes, rows, _ = stack_shapes(tree, rank, level)[2]
-        width = rows * (2 * rank + rows)
-        levels.append((level, nodes, width, max(1, _CHUNK_FLOATS // max(1, width))))
-    buffer = np.empty(max(min(step, nodes) * width for _, nodes, width, step in levels), "<f8")
-    for level, nodes, width, step in levels:
         padded = level == tree.depth and tree.min_leaf_size < tree.max_leaf_size
-        mask = record_mask(tree, rank, level, column_major=True) if padded else None
-        for first in range(0, nodes, step):
-            count = min(step, nodes - first)
-            chunk = slice(first, first + count)
-            records = buffer[: count * width].reshape(count, width)
-            yield level, chunk, records, None if mask is None else mask[chunk]
+        for chunk in linalg.blocks(nodes, width(rows)):
+            count = chunk.stop - chunk.start
+            real = record_mask(tree.real_rows[chunk], rank, column_major=True) if padded else None
+            yield level, chunk, buffer[: count * width(rows)].reshape(count, width(rows)), real
 
 
 def save_factorization(f: HbsFactorization, path) -> None:
@@ -80,7 +81,8 @@ def _read_into(fh, out, what):
 def load_factorization(path) -> HbsFactorization:
     """Read a factorization written by `save_factorization`; raises FormatError
     on a bad header (magic, version, tree or node sizes), truncation or trailing
-    bytes.  Blocks stream through 1 MiB chunks: no buffer holds the file."""
+    bytes.  Blocks stream through chunks of at most linalg.L2_FLOATS floats (or
+    one node record): no buffer holds the file or a level."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         raw = _read_into(fh, bytearray(_HEADER.size), "header")

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from conftest import level_bounds
 
-from hbs import compress
+from hbs import compress, linalg
 from hbs.compress import (
     CompressionConfig,
     SampleSet,
@@ -552,7 +552,7 @@ class TestSweepRanges:
     @staticmethod
     def sweep(samples, tree, config, chunk, monkeypatch):
         """The sweep with `chunk` floats per range, its madds and its lift calls."""
-        monkeypatch.setattr(compress, "_SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(linalg, "L2_FLOATS", chunk)
         lifts = []
 
         def counting_lift(*args):
@@ -590,7 +590,7 @@ class TestSweepRanges:
         # 2-row leaves in 2-node ranges: leaf 5 sits in the third range
         n, s = 16, 6
         tree = build_tree(n, 2)
-        monkeypatch.setattr(compress, "_SWEEP_CHUNK", 1)
+        monkeypatch.setattr(linalg, "L2_FLOATS", 1)
         omega = gaussian_matrix(n, s, 63, 0)
         omega[11] = omega[10]  # leaf 5 owns rows 10 and 11
         psi = gaussian_matrix(n, s, 63, 1)
@@ -606,7 +606,7 @@ class TestSweepRanges:
         # holds both sizes, and leaf 3 is the second of its own size class
         n, s = 21, 6
         tree = build_tree(n, 4)
-        monkeypatch.setattr(compress, "_SWEEP_CHUNK", 1)
+        monkeypatch.setattr(linalg, "L2_FLOATS", 1)
         omega = gaussian_matrix(n, s, 44, 0)
         begin = tree.offsets[3]
         omega[begin + 1] = omega[begin]
@@ -621,7 +621,7 @@ class TestSweepRanges:
     def test_sweep_peak_stays_near_a_level(self):
         # synthetic-coarse shapes on 32 leaves of 128 rows: one sample array is
         # 5.5 MB.  Whole-level steps peaked at 6.64 of them above the inputs,
-        # ranges of at most _SWEEP_CHUNK floats at 4.31 (with the 10 MB result)
+        # ranges of at most linalg.L2_FLOATS floats at 4.31 (with the 10 MB result)
         n, r, m, s = 4096, 40, 160, 168
         tree = build_tree(n, m)
         samples = SampleSet(*(gaussian_matrix(n, s, 62, stream) for stream in range(4)))

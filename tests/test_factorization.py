@@ -8,7 +8,7 @@ import scipy.linalg
 from conftest import level_bounds, node_blocks
 
 import hbs
-from hbs import factorization
+from hbs import linalg
 from hbs.errors import (
     ConfigurationError,
     DimensionError,
@@ -179,7 +179,7 @@ class TestApplyInPlace:
         # one-node ranges, ranges that leave a shorter last one, and one range
         # per level; c = 45 is the synthetic-fine probe count
         f = random_hbs(build_tree(n, m), 4, seed=40)
-        monkeypatch.setattr(factorization, "_APPLY_CHUNK", chunk)
+        monkeypatch.setattr(linalg, "L2_FLOATS", chunk)
         rng = np.random.default_rng(41)
         for c in (1, 2, 45, 64):
             q = rng.standard_normal((n, c))
@@ -201,7 +201,7 @@ class TestApplyInPlace:
         # on a uniform tree the leaf stack is a view of q itself
         tree = build_tree(256, 16)
         f = random_hbs(tree, 4, seed=42)
-        monkeypatch.setattr(factorization, "_APPLY_CHUNK", chunk)
+        monkeypatch.setattr(linalg, "L2_FLOATS", chunk)
         q = np.random.default_rng(43).standard_normal((256, 8))
         assert np.shares_memory(fill_records(q, tree.real_rows), q)
         before = q.copy()

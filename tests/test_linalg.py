@@ -9,7 +9,9 @@ from hbs.bench import estimate_rel_err
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
 from hbs.flops import count_madds, matmul, svd_madds
 from hbs.linalg import (
+    L2_FLOATS,
     STREAM_NULL,
+    blocks,
     col,
     gaussian_matrix,
     lstsq_right,
@@ -29,6 +31,41 @@ def test_matmul_counts_each_product_of_a_broadcast_stack():
         c = matmul(a, b)
     np.testing.assert_array_equal(c, np.matmul(a, b))
     assert counter.madds == 3 * 2 * (4 * 5 * 6)
+
+
+class TestBlocks:
+    """`blocks` tiles range(count) in order with L2-sized slices."""
+
+    @staticmethod
+    def spans(count, width):
+        return [(part.start, part.stop) for part in blocks(count, width)]
+
+    @pytest.mark.parametrize("count", [1, 7, 3 * L2_FLOATS + 5])
+    @pytest.mark.parametrize("width", [0, 3, 100, L2_FLOATS + 1])
+    def test_slices_tile_the_range_in_order(self, count, width):
+        parts = list(blocks(count, width))
+        assert parts[0].start == 0 and parts[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert all(0 < part.stop - part.start <= max(1, L2_FLOATS // max(1, width))
+                   for part in parts)
+        assert all(part.step is None for part in parts)
+
+    def test_no_items_give_no_slices(self):
+        assert self.spans(0, 10) == [] and self.spans(0, 0) == []
+
+    def test_zero_width_takes_l2_floats_items(self):
+        # rank-0 stacks or no columns: items of no floats
+        assert self.spans(5, 0) == [(0, 5)]
+        assert self.spans(L2_FLOATS + 1, 0) == [(0, L2_FLOATS), (L2_FLOATS, L2_FLOATS + 1)]
+
+    def test_items_wider_than_l2_go_one_by_one(self):
+        assert self.spans(3, L2_FLOATS + 1) == [(0, 1), (1, 2), (2, 3)]
+        assert self.spans(3, 10 * L2_FLOATS) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_last_slice_is_ragged(self):
+        width = L2_FLOATS // 4  # four items a slice
+        assert self.spans(10, width) == [(0, 4), (4, 8), (8, 10)]
+        assert self.spans(8, width) == [(0, 4), (4, 8)]
 
 
 class TestGaussianMatrix:

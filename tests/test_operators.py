@@ -10,7 +10,7 @@ import scipy.linalg
 from conftest import circle_contour
 from scipy.spatial import cKDTree
 
-from hbs import operators
+from hbs import linalg
 from hbs.errors import ConfigurationError, DimensionError
 from hbs.operators import (
     adjoint_double_layer_matrix,
@@ -204,7 +204,7 @@ class TestLayerMatrices:
         n = 97
         blocks = []
         for rows in (1, 10, n):
-            monkeypatch.setattr(operators, "_ASSEMBLY_CHUNK", rows * n)
+            monkeypatch.setattr(linalg, "L2_FLOATS", rows * n)
             blocks.append(build(n, default_contour()))
         assert all(np.array_equal(blocks[0], other) for other in blocks[1:])
 

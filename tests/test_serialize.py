@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import node_blocks
 
-from hbs import serialize
+from hbs import linalg, serialize
 from hbs.errors import FormatError
 from hbs.factorization import HbsFactorization, apply, random_hbs, to_dense
 from hbs.serialize import load_factorization, save_factorization
@@ -73,7 +73,8 @@ class TestRoundTrip:
 
 
 class TestStreaming:
-    """Save and load go through 1 MiB record chunks, never the whole file."""
+    """Save and load go through record chunks of at most linalg.L2_FLOATS
+    floats, never the whole file or a level."""
 
     @pytest.mark.parametrize("chunk", [1, 1000, 1 << 40], ids=["one-node", "ragged", "whole-level"])
     @pytest.mark.parametrize("n", [96, 101], ids=["uniform", "uneven"])
@@ -84,16 +85,20 @@ class TestStreaming:
         path = tmp_path / "f.hbsf"
         save_factorization(f, path)
         digest = hashlib.sha256(path.read_bytes()).digest()
-        monkeypatch.setattr(serialize, "_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(linalg, "L2_FLOATS", chunk)
         g = load_factorization(path)
         assert_identical(f, g.validate())
         save_factorization(g, path)
         assert hashlib.sha256(path.read_bytes()).digest() == digest
 
-    def test_peak_is_the_stacks(self, tmp_path):
-        # a 4.2 MB file: holding it whole, or a level-sized copy, would
-        # exceed the bound of the loaded stacks plus 2 MiB
-        f = random_hbs(build_tree(8192, 32), 8, seed=12)
+    @pytest.mark.parametrize(
+        "n, m, r", [(8192, 32, 8), (16001, 160, 35)], ids=["uniform", "padded"]
+    )
+    def test_peak_is_the_stacks(self, tmp_path, n, m, r):
+        # 4.2 and 26 MB files: holding one whole, or a level-sized copy, would
+        # exceed the bound of the loaded stacks plus 2 MiB; on the padded tree
+        # (leaves of 125 and 126 rows) so would a mask of the whole leaf level
+        f = random_hbs(build_tree(n, m), r, seed=12)
         path = tmp_path / "f.hbsf"
         save_factorization(f, path)
         stacks = f.root_disc.nbytes + sum(s.nbytes for s in (*f.U[1:], *f.V[1:], *f.D[1:]))

@@ -147,6 +147,36 @@ def test_lapack_is_reached_only_through_the_entry_guard():
         assert len(uses) == len(guarded) + len(shape_reads), f"{name} reads {arg} unguarded"
 
 
+def test_the_l2_block_size_is_written_once():
+    # linalg.L2_FLOATS and linalg.blocks size every blocked loop (sweep, apply,
+    # .hbsf streaming, kernel assembly); a module with a chunk constant or a
+    # 64K / 128K float count of its own would let the loops drift apart again
+    spellings = {"64 * 1024", "1 << 16", "1 << 17"}
+    found, in_linalg = [], []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = []
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+        spelled = [
+            f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and ast.unparse(node) in spellings
+        ]
+        if path.name == "linalg.py":
+            in_linalg = spelled
+            continue
+        found += [f"{path.name} binds {name}" for name in names if "CHUNK" in name] + spelled
+    assert len(in_linalg) == 1, f"scan found {in_linalg} in linalg.py"
+    assert not found, f"block sizes outside linalg.L2_FLOATS: {found}"
+
+
 def test_no_assert_in_library():
     # `python -O` strips assert statements, so no check in the library may be one
     found = [
