@@ -3,9 +3,11 @@ timing, accuracy, storage, and probe-budget figures per run.
 
 Sampling time is the wall time spent inside the black-box product
 routines; compression time covers only the post-sampling arithmetic, and
-verification time the whole error estimate.  The relative error
-||A_compressed - A|| / ||A|| is estimated after the probe counters have been
-snapshotted, so every record shows exactly the probes compression used.
+verification time the whole error estimate; compression time also depends
+on `workers`, the threads its level sweep ran on (`linalg.WORKERS`).  The
+relative error ||A_compressed - A|| / ||A|| is estimated after the probe
+counters have been snapshotted, so every record shows exactly the probes
+compression used.
 """
 
 import dataclasses
@@ -55,6 +57,7 @@ class RunRecord:
     matvecs_at: int
     t_verify: float
     t_build: float
+    workers: int
 
     def csv_row(self) -> str:
         return ",".join(
@@ -171,6 +174,7 @@ def run_once(
         matvecs_at=matvecs_at,
         t_verify=t_verify,
         t_build=t_build,
+        workers=linalg.WORKERS,
     )
     return record, f
 

@@ -10,7 +10,7 @@ probe side at a time, and lifts its samples into the parent level's
 test/sample stacks until the root core is solved directly.  Nodes of a level
 are independent, so each level is one pass over L2-sized ranges of nodes:
 a range's bases, discrepancy blocks and lift run back to back while its
-samples are still in cache.
+samples are still in cache, and ranges run on the CPUs that BLAS leaves free.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -28,7 +28,15 @@ from .errors import (
 )
 from .factorization import HbsFactorization, fill_records, node_sizes
 from .flops import add_madds, matmul
-from .linalg import STREAM_OMEGA, STREAM_PSI, blocks, col, gaussian_matrix, lstsq_right, nullspace
+from .linalg import (
+    STREAM_OMEGA,
+    STREAM_PSI,
+    col,
+    gaussian_matrix,
+    lstsq_right,
+    map_blocks,
+    nullspace,
+)
 from .oracle import MatVecOracle
 from .tree import ClusterTree, build_tree
 
@@ -208,7 +216,9 @@ def compress_from_samples(
     nodes at least.  A range takes one stack per node size for its bases and
     discrepancy blocks, on real rows only: padded rows make omega rank
     deficient.  Its padded blocks then lift at once into its parents' rows
-    of the next level's stacks.
+    of the next level's stacks.  `linalg.map_blocks` runs a level's ranges
+    on linalg.WORKERS threads; each range writes only its own nodes and
+    parents, so no worker count changes a bit.
     Samples out of floating-point range raise NonFiniteError: at numpy's
     first overflow or invalid operation in the sweep, or, for what LAPACK
     does not flag, at a non-finite block in the result.
@@ -230,7 +240,8 @@ def compress_from_samples(
         sizes = np.array(node_sizes(tree, r, level))
         nodes, rows, s = stack.omega.shape
         parent = stack.map(lambda _: np.empty((nodes // 2, 2 * r, s)))
-        for up in blocks(nodes // 2, 2 * rows * s):
+
+        def sweep_range(up):
             down = slice(2 * up.start, 2 * up.stop)
             part, part_sizes = stack[down], sizes[down]
             u_blk, v_blk, d_blk = f.U[level][down], f.V[level][down], f.D[level][down]
@@ -249,6 +260,8 @@ def compress_from_samples(
             lifted = lift_to_parent(u_blk, v_blk, d_blk, part, part_sizes)
             for out, block in zip(parent.arrays, lifted.arrays):
                 out[up] = block
+
+        map_blocks(sweep_range, nodes // 2, 2 * rows * s)
         stack = parent
     try:
         f.root_disc[...] = compute_root(stack[0])

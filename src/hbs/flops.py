@@ -6,8 +6,11 @@ textbook counts for their operand shapes.  `compress.lift_to_parent` and
 `factorization.apply_matrix` keep a model: they run on zero-padded stacks
 and count real rows only.  Counting is off unless a `count_madds()` context
 is active, so production paths pay one context-var lookup per tracked call.
+An active counter takes a lock per update, so threads that run in copies of
+the counting context (`linalg.map_blocks`) add up exactly.
 """
 
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ class MaddCounter:
 
 
 _ACTIVE: ContextVar[MaddCounter | None] = ContextVar("hbs_madd_counter", default=None)
+_LOCK = threading.Lock()
 
 
 @contextmanager
@@ -37,7 +41,8 @@ def count_madds():
 def add_madds(n):
     counter = _ACTIVE.get()
     if counter is not None:
-        counter.madds += int(n)
+        with _LOCK:
+            counter.madds += int(n)
 
 
 def matmul(a, b):

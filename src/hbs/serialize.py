@@ -17,7 +17,6 @@ from . import linalg
 from .errors import ConfigurationError, FormatError
 from .factorization import (
     HbsFactorization,
-    fill_records,
     node_sizes,
     record_mask,
     record_views,
@@ -31,26 +30,32 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQIII")  # magic, version, n, rank, depth, leaf_threshold
 
 
+def _width(rows: int, rank: int) -> int:
+    """Floats in the record of a node of `rows` rows."""
+    return rows * (2 * rank + rows)
+
+
+def _chunk_buffer(tree, rank: int) -> np.ndarray:
+    """A buffer for the largest chunk: one record, or at most L2_FLOATS floats
+    and at most a level, 2^depth records of the widest kind."""
+    widest = _width(max(tree.max_leaf_size, 2 * rank), rank)
+    return np.empty(max(widest, min(linalg.L2_FLOATS, widest << tree.depth)), "<f8")
+
+
 def _record_chunks(tree, rank: int):
     """The node records of every non-root level in level order, in the
     `linalg.blocks` of their floats, all through one reused buffer: yields each
     chunk's level, node slice, records and the mask of their real entries, None
     when the level has no padding."""
-
-    def width(rows):
-        return rows * (2 * rank + rows)
-
-    # A chunk is one record, or at most L2_FLOATS floats and at most a level:
-    # 2^depth records of the widest kind.
-    widest = width(max(tree.max_leaf_size, 2 * rank))
-    buffer = np.empty(max(widest, min(linalg.L2_FLOATS, widest << tree.depth)), "<f8")
+    buffer = _chunk_buffer(tree, rank)
     for level in range(1, tree.depth + 1):
         nodes, rows, _ = stack_shapes(tree, rank, level)[2]
+        width = _width(rows, rank)
         padded = level == tree.depth and tree.min_leaf_size < tree.max_leaf_size
-        for chunk in linalg.blocks(nodes, width(rows)):
+        for chunk in linalg.blocks(nodes, width):
             count = chunk.stop - chunk.start
             real = record_mask(tree.real_rows[chunk], rank, column_major=True) if padded else None
-            yield level, chunk, buffer[: count * width(rows)].reshape(count, width(rows)), real
+            yield level, chunk, buffer[: count * width].reshape(count, width), real
 
 
 def save_factorization(f: HbsFactorization, path) -> None:
@@ -120,12 +125,15 @@ def load_factorization(path) -> HbsFactorization:
             raise FormatError(f"{what}: blocks need {nbytes} bytes, {remain} remain")
 
         f = HbsFactorization.zeros(tree, rank)
+        # The real floats of a padded chunk, before they scatter into its records.
+        packed = _chunk_buffer(tree, rank) if tree.min_leaf_size < tree.max_leaf_size else None
         for level, chunk, records, real in _record_chunks(tree, rank):
             if real is None:
                 _read_into(fh, records, "blocks")
-            else:  # the real floats, read to the buffer's front, into zeroed records
-                data = records.reshape(-1)[: np.count_nonzero(real)]
-                records = fill_records(_read_into(fh, data, "blocks"), real)
+            else:
+                data = _read_into(fh, packed[: np.count_nonzero(real)], "blocks")
+                records[...] = 0
+                records[real] = data
             for view, stacks in zip(record_views(records, rank, True), (f.U, f.V, f.D)):
                 stacks[level][chunk] = view
         root = _read_into(fh, np.empty(f.root_disc.shape, dtype="<f8"), "root core")

@@ -23,6 +23,7 @@ class TestRunOnce:
         assert record.matvecs_a == record.matvecs_at == 45
         assert record.t_sample >= 0 and record.t_compress >= 0 and record.t_apply >= 0
         assert record.t_verify > 0 and record.t_build > 0
+        assert record.workers == linalg.WORKERS
 
     def test_default_probe_resolution(self):
         config = CompressionConfig(rank=10, leaf_threshold=20, seed=2)
@@ -148,17 +149,17 @@ class TestCsvSchema:
     def test_header_is_pinned(self):
         assert CSV_HEADER == (
             "problem,n,r,m,s,seed,t_sample,t_compress,t_apply,rel_err,floats_per_dof,"
-            "matvecs_a,matvecs_at,t_verify,t_build"
+            "matvecs_a,matvecs_at,t_verify,t_build,workers"
         )
 
     def test_row_format_is_pinned(self):
         record = RunRecord(
             "synthetic", 256, 6, 12, 18, 5, 0.001, 0.002, 0.0003, 1.5e-12, 12.25, 18, 18, 0.004,
-            0.005,
+            0.005, 2,
         )
         assert record.csv_row() == (
             "synthetic,256,6,12,18,5,1.000000e-03,2.000000e-03,3.000000e-04,1.500000e-12,"
-            "12.250000,18,18,4.000000e-03,5.000000e-03"
+            "12.250000,18,18,4.000000e-03,5.000000e-03,2"
         )
 
 

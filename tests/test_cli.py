@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hbs import cli
+from hbs import cli, linalg
 from hbs.errors import (
     ConfigurationError,
     DimensionError,
@@ -47,6 +47,7 @@ class TestCompressCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "rel_err:" in out and "floats_per_dof:" in out
+        assert f"workers: {linalg.WORKERS}\n" in out
 
     def test_config_error_exit_code(self, capsys):
         # leaf threshold >= n: the tree has no levels

@@ -1,5 +1,9 @@
 """Tests for the randomized compressor, stage by stage against dense oracles."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -585,6 +589,104 @@ class TestSweepRanges:
             assert np.array_equal(f.U[level], g.U[level])
             assert np.array_equal(f.V[level], g.V[level])
             assert np.array_equal(f.D[level], g.D[level])
+
+    @pytest.mark.parametrize("chunk", [1, linalg.L2_FLOATS], ids=["2-node", "L2"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "n, k, r, m", [(512, 4, 6, 16), (333, 4, 8, 24), (40, 3, 6, 20)],
+        ids=["uniform", "uneven", "depth-one"],
+    )
+    def test_workers_change_no_bit(self, n, k, r, m, workers, chunk, monkeypatch):
+        # ranges on 2 or 3 threads against the serial sweep, at the same ranges
+        tree = build_tree(n, m)
+        a = to_dense(random_hbs(tree, k, seed=64))
+        config = CompressionConfig(rank=r, leaf_threshold=m, seed=65)
+        samples = sample_dense(a, config.validate_for(tree), seed=65)
+        monkeypatch.setattr(linalg, "WORKERS", 1)
+        f, madds, _ = self.sweep(samples, tree, config, chunk, monkeypatch)
+        monkeypatch.setattr(linalg, "WORKERS", workers)
+        g, parallel_madds, _ = self.sweep(samples, tree, config, chunk, monkeypatch)
+        assert parallel_madds == madds
+        assert np.array_equal(f.root_disc, g.root_disc)
+        for level in range(1, tree.depth + 1):
+            assert np.array_equal(f.U[level], g.U[level])
+            assert np.array_equal(f.V[level], g.V[level])
+            assert np.array_equal(f.D[level], g.D[level])
+
+    def test_earlier_ill_conditioned_range_is_named_across_workers(self, monkeypatch):
+        # leaves 1 and 5 are both rank deficient, in the first and the third
+        # 2-leaf range; the first range waits until the third has raised, so
+        # the error names leaf 1 by block order, not by which range failed first
+        n, s = 16, 6
+        tree = build_tree(n, 2)
+        monkeypatch.setattr(linalg, "L2_FLOATS", 1)
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        omega = gaussian_matrix(n, s, 66, 0)
+        omega[3] = omega[2]  # leaf 1 owns rows 2 and 3
+        omega[11] = omega[10]  # leaf 5 owns rows 10 and 11
+        psi = gaussian_matrix(n, s, 66, 1)
+        samples = SampleSet(omega=omega, psi=psi, y=omega.copy(), z=psi.copy())
+        later_raised = threading.Event()
+
+        def first_range_waits(ns, r):
+            if ns.omega.shape[1] == 2 and ns.omega[0, 0, 0] == omega[0, 0]:
+                assert later_raised.wait(10)
+            try:
+                return compress_node_bases(ns, r)
+            except IllConditionedProbeError:
+                later_raised.set()
+                raise
+
+        monkeypatch.setattr(compress, "compress_node_bases", first_range_waits)
+        config = CompressionConfig(rank=1, leaf_threshold=2, probes=s, seed=66)
+        with pytest.raises(IllConditionedProbeError) as excinfo:
+            compress_from_samples(samples, tree, config)
+        assert excinfo.value.node_id == 2**tree.depth - 1 + 1
+        assert excinfo.value.level == tree.depth
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_a_worker_raises_nonfinite(self, monkeypatch):
+        # numpy's errstate is a context variable: a worker sees the sweep's
+        # over="call" only through the context map_blocks copies for it, and
+        # would otherwise warn, which -W error turns into a RuntimeWarning
+        monkeypatch.setattr(linalg, "L2_FLOATS", 1)
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        raised_in = []
+
+        def recording(ns, r):
+            try:
+                return compress_node_bases(ns, r)
+            except NonFiniteError:
+                raised_in.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(compress, "compress_node_bases", recording)
+        samples = TestInputChecks.SAMPLES
+        samples = replace(samples, y=samples.y * (1e308 / np.abs(samples.y).max()))
+        with pytest.raises(NonFiniteError, match="overflow"):
+            compress_from_samples(samples, build_tree(256, 16), CompressionConfig(4, 16))
+        assert raised_in and threading.main_thread() not in raised_in
+
+    def test_worker_rule_reads_blas_threads(self, child_env):
+        # WORKERS = usable CPUs // BLAS threads, from the first of OpenBLAS's
+        # variables that holds a positive integer; unset, BLAS takes every CPU
+        cpus = len(os.sched_getaffinity(0))
+        variables = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        base = {k: v for k, v in child_env.items() if k not in variables}
+        cases = [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, cpus),
+            ({"OMP_NUM_THREADS": "1"}, cpus),
+            ({"OPENBLAS_NUM_THREADS": "one"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, cpus),
+            ({"OPENBLAS_NUM_THREADS": str(cpus + 1)}, 1),
+        ]
+        for env, workers in cases:
+            out = subprocess.run(
+                [sys.executable, "-c", "from hbs import linalg; print(linalg.WORKERS)"],
+                env={**base, **env}, capture_output=True, text=True, check=True,
+            ).stdout
+            assert int(out) == workers, env
 
     def test_ill_conditioned_leaf_in_later_range_names_node(self, monkeypatch):
         # 2-row leaves in 2-node ranges: leaf 5 sits in the third range

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra primitives."""
 
+import sys
+
 import numpy as np
 import pytest
 from conftest import dense_factorization
@@ -7,7 +9,7 @@ from conftest import dense_factorization
 from hbs import linalg
 from hbs.bench import estimate_rel_err
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.flops import count_madds, matmul, svd_madds
+from hbs.flops import add_madds, count_madds, matmul, svd_madds
 from hbs.linalg import (
     L2_FLOATS,
     STREAM_NULL,
@@ -66,6 +68,35 @@ class TestBlocks:
         width = L2_FLOATS // 4  # four items a slice
         assert self.spans(10, width) == [(0, 4), (4, 8), (8, 10)]
         assert self.spans(8, width) == [(0, 4), (4, 8)]
+
+
+class TestMapBlocks:
+    """`map_blocks` runs a function on each of `blocks`, on WORKERS threads."""
+
+    def test_results_come_back_in_block_order(self, monkeypatch):
+        monkeypatch.setattr(linalg, "L2_FLOATS", 3)
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        assert linalg.map_blocks(lambda b: (b.start, b.stop), 7, 1) == [(0, 3), (3, 6), (6, 7)]
+        assert linalg.map_blocks(lambda b: b, 0, 1) == []
+
+    def test_madds_from_many_threads_add_up(self, monkeypatch):
+        # more workers than cores, switching threads as often as possible: an
+        # unlocked `counter.madds += n` would lose updates
+        monkeypatch.setattr(linalg, "L2_FLOATS", 1)
+        monkeypatch.setattr(linalg, "WORKERS", 8)
+
+        def add(part):
+            for _ in range(10000):
+                add_madds(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with count_madds() as counter:
+                linalg.map_blocks(add, 32, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.madds == 32 * 10000
 
 
 class TestGaussianMatrix:

@@ -177,6 +177,38 @@ def test_the_l2_block_size_is_written_once():
     assert not found, f"block sizes outside linalg.L2_FLOATS: {found}"
 
 
+def test_threads_start_only_in_map_blocks():
+    # linalg.map_blocks owns the one pool, which lives for one call and runs
+    # each block in a copy of the caller's context; a thread or process
+    # started anywhere else would lose the sweep's errstate and madd counter.
+    # A lock (the oracle's, the madd counter's) starts nothing.
+    spawners = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "multiprocessing"}
+    found, in_map_blocks = [], 0
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        owner = {id(inner): fn.name for fn in functions for inner in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if not names & spawners:
+                continue
+            if path.name == "linalg.py" and owner.get(id(node)) == "map_blocks":
+                in_map_blocks += 1
+            elif not (path.name == "linalg.py" and isinstance(node, ast.ImportFrom)):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert in_map_blocks == 1, "linalg.map_blocks no longer starts the pool"
+    assert not found, f"threads or processes started outside linalg.map_blocks: {found}"
+
+
 def test_no_assert_in_library():
     # `python -O` strips assert statements, so no check in the library may be one
     found = [
