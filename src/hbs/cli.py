@@ -34,7 +34,7 @@ def _add_config_arguments(parser):
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--power-iters", type=int, default=POWER_ITERS, help="power-method iterations for rel_err"
+        "--power-iters", type=int, default=POWER_ITERS, help="most Lanczos steps for rel_err"
     )
 
 
@@ -76,7 +76,9 @@ def build_parser():
     p_verify.add_argument("--load", required=True)
     p_verify.add_argument("--problem", required=True, choices=PROBLEMS)
     p_verify.add_argument("--seed", type=int, default=0, help="the seed the file was built with")
-    p_verify.add_argument("--power-iters", type=int, default=POWER_ITERS)
+    p_verify.add_argument(
+        "--power-iters", type=int, default=POWER_ITERS, help="most Lanczos steps for rel_err"
+    )
     return parser
 
 

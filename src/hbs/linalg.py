@@ -36,7 +36,7 @@ STREAM_SYNTHETIC = 3
 STREAM_NULL = 4
 STREAM_APPLY = 9
 
-# Power-method iterations behind every rel_err estimate unless a caller asks otherwise.
+# Most Lanczos steps behind every rel_err estimate unless a caller asks otherwise.
 POWER_ITERS = 20
 
 # sigma_min / sigma_max below which a probe matrix counts as rank deficient.
@@ -244,6 +244,7 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
 
 
 def check_power_iters(iters: int) -> None:
-    """Reject a power-iteration count that is not an integer of at least one."""
+    """Reject a cap on rel_err's Lanczos steps (`--power-iters`) that is not an
+    integer of at least one."""
     if check_integer("power iterations", iters) < 1:
         raise ConfigurationError(f"power iterations must be positive, got {iters}")

@@ -195,7 +195,7 @@ def test_serialization_round_trip():
 
 
 def test_power_method_metric_sanity():
-    # 20-iteration estimate lands in [0.9, 1.0] x true norm for operators
+    # the estimate, at most 20 steps, lands in [0.9, 1.0] x true norm for operators
     # with a well-separated top singular value (it is a lower-bound estimator)
     rng = np.random.default_rng(41)
     checked = []

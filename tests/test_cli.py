@@ -48,6 +48,7 @@ class TestCompressCommand:
         out = capsys.readouterr().out
         assert "rel_err:" in out and "floats_per_dof:" in out
         assert f"workers: {linalg.WORKERS}\n" in out
+        assert "verify_matvecs: " in out
 
     def test_config_error_exit_code(self, capsys):
         # leaf threshold >= n: the tree has no levels
@@ -170,14 +171,18 @@ class TestVerifyCommand:
     def test_verify_prints_its_oracle_columns(self, tmp_path, capsys):
         path = tmp_path / "f.hbsf"
         base = ["--problem", "synthetic", "--n", "256", "--rank", "8", "--leaf", "16"]
-        assert cli.main(["compress", *base, "--save", str(path)]) == 0
-        capsys.readouterr()
+        base += ["--power-iters", "5"]
+        assert cli.main(["compress", *base, "--save", str(path), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
         argv = ["verify", "--load", str(path), "--problem", "synthetic", "--power-iters", "5"]
         assert cli.main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        # 5 oracle columns per direction for the error, 1 for the reference norm
-        assert lines[0].startswith("rel_err: ")
-        assert lines[1] == "oracle columns (a / at): 6 / 6"
+        # one column per direction for each error step, one for the reference
+        # norm: the same file and seed stop the estimate where `compress` did
+        k = record["verify_matvecs"]
+        assert 2 <= k <= 5 + 1
+        assert lines[0] == f"rel_err: {record['rel_err']:.6e}"
+        assert lines[1] == f"oracle columns (a / at): {k} / {k}"
 
     def test_size_rank_and_leaf_come_from_the_file(self, capsys):
         with pytest.raises(SystemExit) as exc:

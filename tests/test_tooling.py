@@ -5,8 +5,8 @@ reported as missing there and its metrics vanish.  The driver
 (perfbench/run.py) calls library functions and reads report fields: a name
 that no longer resolves crashes the run.  So every such name must resolve
 here.  The library also holds no `assert` statement, which `python -O` would
-strip, raises no error type that is not an `HbsError`, and names every RNG
-stream it draws from."""
+strip, raises no error type that is not an `HbsError`, names every RNG
+stream it draws from, and takes oracle products only to sample and to verify."""
 
 import ast
 import dataclasses
@@ -207,6 +207,29 @@ def test_threads_start_only_in_map_blocks():
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert in_map_blocks == 1, "linalg.map_blocks no longer starts the pool"
     assert not found, f"threads or processes started outside linalg.map_blocks: {found}"
+
+
+def test_only_sampling_and_verification_reach_an_oracle():
+    # compress.draw_samples takes compression's probes and bench.estimate_rel_err
+    # verification's columns, so the (s, s) probe budget and
+    # RunRecord.verify_matvecs account for every oracle product; one taken
+    # anywhere else would show in neither
+    allowed = {("compress.py", "draw_samples"), ("bench.py", "estimate_rel_err")}
+    found, seen = [], set()
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        owner = {id(inner): fn.name for fn in functions for inner in ast.walk(fn)}  # innermost
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in ("apply_batch", "apply_transpose_batch")):
+                continue
+            where = (path.name, owner.get(id(node), "<module>"))
+            if where in allowed:
+                seen.add(where)
+            else:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)} in {where[1]}")
+    assert seen == allowed, f"scan found oracle products only in {seen}"
+    assert not found, f"oracle products outside sampling and verification: {found}"
 
 
 def test_no_assert_in_library():
