@@ -6,7 +6,7 @@ block stacks that apply uses then recovers each level's bases by projecting
 its probes onto the nullspace of the nodes' own test rows (so the samples
 see only off-diagonal contributions), its discrepancy blocks from
 least-squares solves against the test rows that reuse the same factor, one
-probe side at a time, and lifts its samples into the parent level's
+probe side at a time, and lifts each node's real rows into the parent level's
 test/sample stacks until the root core is solved directly.  Nodes of a level
 are independent, so each level is one pass over L2-sized ranges of nodes:
 a range's bases, discrepancy blocks and lift run back to back while its
@@ -27,7 +27,7 @@ from .errors import (
     raise_out_of_range,
 )
 from .factorization import HbsFactorization, fill_records, node_sizes
-from .flops import add_madds, matmul
+from .flops import matmul
 from .linalg import (
     STREAM_OMEGA,
     STREAM_PSI,
@@ -86,7 +86,7 @@ class SampleSet:
     """Probe quadruple: test matrices omega/psi and their images
     y = A omega, z = A^T psi.  Globally these have n rows; in the sweep they
     are (nodes, rows, s) stacks of one level's leaf slices or lifted 2r-row
-    counterparts."""
+    counterparts.  Arrays of any real dtype are kept as float64."""
 
     omega: np.ndarray
     psi: np.ndarray
@@ -102,7 +102,7 @@ class SampleSet:
         if len(shapes) != 1:
             raise DimensionError(f"sample matrices must share one shape, got {shapes}")
         for name, a in zip(("omega", "psi", "y", "z"), arrays):
-            check_real(f"sample matrix {name}", a)
+            object.__setattr__(self, name, check_real(f"sample matrix {name}", a))
 
     def map(self, fn) -> "SampleSet":
         """The quadruple with `fn` applied to each of its four arrays."""
@@ -176,27 +176,23 @@ def compute_discrepancy(u, v, left, right) -> np.ndarray:
     return left
 
 
-def lift_to_parent(u, v, disc, samples: SampleSet, sizes) -> SampleSet:
-    """Lift one level's (nodes, rows, .) stacks of bases, discrepancy blocks
-    and samples, zero-padded beyond each node's real size in `sizes`, into
-    the parent level's (nodes / 2, 2r, s) test/sample stacks.
+def lift_to_parent(u, v, disc, samples: SampleSet) -> SampleSet:
+    """Lift a stack of same-size nodes' bases, discrepancy blocks and
+    samples, on their real rows, to their (nodes, r, s) rows of the parent
+    level's test/sample stacks.
 
     Test rows are the probes seen through the nodes' bases; sample rows
     first subtract what the nodes' own discrepancy blocks already explain,
     then project onto the bases.  Each parent stacks its two children's
     rows, an exact probe quadruple for the coarser-level operator.
     """
-    nodes, _, s = samples.omega.shape
-    r, sizes = u.shape[-1], np.asarray(sizes)
-    add_madds(4 * r * s * int(sizes.sum()) + 2 * s * int((sizes * sizes).sum()))
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    lifted = SampleSet(
-        omega=vt @ samples.omega,
-        psi=ut @ samples.psi,
-        y=ut @ (samples.y - disc @ samples.omega),
-        z=vt @ (samples.z - disc.swapaxes(-1, -2) @ samples.psi),
+    return SampleSet(
+        omega=matmul(vt, samples.omega),
+        psi=matmul(ut, samples.psi),
+        y=matmul(ut, samples.y - matmul(disc, samples.omega)),
+        z=matmul(vt, samples.z - matmul(disc.swapaxes(-1, -2), samples.psi)),
     )
-    return lifted.map(lambda a: a.reshape(nodes // 2, 2 * r, s))
 
 
 def compute_root(ns: SampleSet) -> np.ndarray:
@@ -213,12 +209,13 @@ def compress_from_samples(
     post-sampling arithmetic; touches no oracle).  Each level is one pass
     over the `linalg.blocks` of its parents, a range of nodes holding their
     children: at most linalg.L2_FLOATS floats per sample array, and two
-    nodes at least.  A range takes one stack per node size for its bases and
-    discrepancy blocks, on real rows only: padded rows make omega rank
-    deficient.  Its padded blocks then lift at once into its parents' rows
-    of the next level's stacks.  `linalg.map_blocks` runs a level's ranges
-    on linalg.WORKERS threads; each range writes only its own nodes and
-    parents, so no worker count changes a bit.
+    nodes at least.  A range takes one stack per node size for its bases,
+    discrepancy blocks and lift, on real rows only: padded rows make omega
+    rank deficient.  Each size class writes its blocks into the
+    factorization, which the sweep never reads back, and its lifted rows
+    into its parents' rows of the next level's stacks.  `linalg.map_blocks`
+    runs a level's ranges on linalg.WORKERS threads; each range writes only
+    its own nodes and parents, so no worker count changes a bit.
     Samples out of floating-point range raise NonFiniteError: at numpy's
     first overflow or invalid operation in the sweep, or, for what LAPACK
     does not flag, at a non-finite block in the result.
@@ -245,21 +242,23 @@ def compress_from_samples(
             down = slice(2 * up.start, 2 * up.stop)
             part, part_sizes = stack[down], sizes[down]
             u_blk, v_blk, d_blk = f.U[level][down], f.V[level][down], f.D[level][down]
+            out = parent.map(lambda a: a[up].reshape(-1, r, s))  # one r-row slot per child
             classes = np.unique(part_sizes)
             for size in classes:
                 # A slice keeps a view when the whole range has one size.
                 members = slice(None) if classes.size == 1 else np.flatnonzero(part_sizes == size)
+                ns = part[members, :size]
                 try:
-                    u, v, left, right = compress_node_bases(part[members, :size], r)
+                    u, v, left, right = compress_node_bases(ns, r)
                 except IllConditionedProbeError as exc:
                     j = down.start + np.arange(part_sizes.size)[members][exc.index]
                     raise _at_node(exc, level, j) from exc
+                d = compute_discrepancy(u, v, left, right)
                 u_blk[members, :size] = u
                 v_blk[members, :size] = v
-                d_blk[members, :size, :size] = compute_discrepancy(u, v, left, right)
-            lifted = lift_to_parent(u_blk, v_blk, d_blk, part, part_sizes)
-            for out, block in zip(parent.arrays, lifted.arrays):
-                out[up] = block
+                d_blk[members, :size, :size] = d
+                for slot, block in zip(out.arrays, lift_to_parent(u, v, d, ns).arrays):
+                    slot[members] = block
 
         map_blocks(sweep_range, nodes // 2, 2 * rows * s)
         stack = parent

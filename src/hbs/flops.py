@@ -2,10 +2,10 @@
 
 Arithmetic cost is tracked as nominal scalar multiply-adds.  Each matrix
 product counts itself where it runs, through `matmul`; LAPACK calls add
-textbook counts for their operand shapes.  `compress.lift_to_parent` and
-`factorization.apply_matrix` keep a model: they run on zero-padded stacks
-and count real rows only.  Counting is off unless a `count_madds()` context
-is active, so production paths pay one context-var lookup per tracked call.
+textbook counts for their operand shapes.  Only `factorization.apply_matrix`
+keeps a model: it runs on zero-padded stacks and counts real rows only.
+Counting is off unless a `count_madds()` context is active, so production
+paths pay one context-var lookup per tracked call.
 An active counter takes a lock per update, so threads that run in copies of
 the counting context (`linalg.map_blocks`) add up exactly.
 """

@@ -127,14 +127,14 @@ def gaussian_matrix(n: int, s: int, seed: int, stream: int) -> np.ndarray:
 
 
 def _unit(m: np.ndarray, what: str):
-    """The one way into LAPACK: (U, shift), U = M 2^shift with each entry's
-    peak brought into [1/2, 1), which keeps its Gram matrix and QR in range
-    and leaves Q's bits alone; a non-finite entry raises NonFiniteError."""
+    """The one way into LAPACK: (U, shift), U = M 2^shift in float64 with each
+    entry's peak brought into [1/2, 1), which keeps its Gram matrix and QR in
+    range and leaves Q's bits alone; a non-finite entry raises NonFiniteError."""
     peak = np.maximum(m.max(axis=(-2, -1), initial=0.0), -m.min(axis=(-2, -1), initial=0.0))
     if not np.isfinite(peak).all():
         raise NonFiniteError(f"{what} ({m.shape[-2]} x {m.shape[-1]}) holds non-finite entries")
     shift = -np.asarray(np.frexp(peak)[1])[..., None, None]
-    return np.ldexp(m, shift), shift
+    return np.ldexp(m, shift, dtype=np.float64), shift
 
 
 def col(b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from hbs.compress import (
     lift_to_parent,
 )
 from hbs.errors import ConfigurationError, DimensionError, IllConditionedProbeError, NonFiniteError
-from hbs.factorization import random_hbs, to_dense
+from hbs.factorization import node_sizes, random_hbs, to_dense
 from hbs.flops import count_madds
 from hbs.linalg import gaussian_matrix, lstsq_right, nullspace
 from hbs.operators import dense_oracle
@@ -58,20 +58,18 @@ def compress_leaves(a, tree, r, s, seed):
 
 
 def stack_nodes(state):
-    """Per-node (u, v, disc, samples) as one level's stacks, the way the
-    sweep holds them: (nodes, rows, .) arrays zero-padded to the largest
-    node, then the nodes' real sizes."""
-    width = max(ns.rows for *_, ns in state)
-
-    def stacked(blocks, cols=None):
-        out = np.zeros((len(blocks), width, cols or blocks[0].shape[1]))
-        for j, block in enumerate(blocks):
-            out[j, : block.shape[0], : block.shape[1]] = block
-        return out
-
+    """Per-node (u, v, disc, samples) of one size as one size class's
+    (nodes, rows, .) stacks on real rows, the way the sweep lifts them."""
     u, v, d, ns = zip(*state)
-    samples = SampleSet(*(stacked([getattr(x, k) for x in ns]) for k in ("omega", "psi", "y", "z")))
-    return stacked(u), stacked(v), stacked(d, width), samples, [x.rows for x in ns]
+    samples = SampleSet(*(np.stack(arrays) for arrays in zip(*(x.arrays for x in ns))))
+    return np.stack(u), np.stack(v), np.stack(d), samples
+
+
+def lift_pair(pair):
+    """The parent's (2r, s) rows lifted from two sibling nodes, each lifted
+    in its own one-node size class."""
+    lifted = [lift_to_parent(*stack_nodes([node]))[0] for node in pair]
+    return SampleSet(*(np.vstack(arrays) for arrays in zip(*(x.arrays for x in lifted))))
 
 
 class TestDrawSamples:
@@ -239,8 +237,9 @@ class TestLiftToParent:
             v = np.linalg.qr(rng.standard_normal((m, r)))[0]
             att = a[begin:end, begin:end]
             state.append((u, v, att, ns))
-        # the first parent of the level above the leaves
-        lifted = lift_to_parent(*stack_nodes(state[:2]))
+        # all four leaves, one size class
+        lifted = lift_to_parent(*stack_nodes(state))
+        assert lifted.y.shape == (4, r, s)
         np.testing.assert_allclose(lifted.y, 0.0, atol=1e-12)
         np.testing.assert_allclose(lifted.z, 0.0, atol=1e-12)
 
@@ -256,31 +255,32 @@ class TestLiftToParent:
         d_blk = scipy.linalg.block_diag(*(d for _, _, d, _ in state))
         y_coarse = u_blk.T @ (samples.y - d_blk @ samples.omega)
         omega_coarse = v_blk.T @ samples.omega
-        # the first node of level 1, parent of leaves 0 and 1 on this depth-2 tree
-        lifted = lift_to_parent(*stack_nodes(state[:2]))[0]
+        # the four leaves' r-row slots, in leaf order, are the coarse rows
+        lifted = lift_to_parent(*stack_nodes(state))
         scale = np.linalg.norm(samples.y)
-        assert np.linalg.norm(lifted.y - y_coarse[: 2 * r]) <= 1e-11 * scale
-        assert np.linalg.norm(lifted.omega - omega_coarse[: 2 * r]) <= 1e-11 * scale
+        assert np.linalg.norm(lifted.y.reshape(-1, s) - y_coarse) <= 1e-11 * scale
+        assert np.linalg.norm(lifted.omega.reshape(-1, s) - omega_coarse) <= 1e-11 * scale
 
     def test_shape_is_always_2r_by_s(self):
-        # uneven leaves still lift to 2r rows
+        # uneven leaves still lift to r rows each, 2r rows a parent
         n, m, r, s = 21, 4, 2, 10
         tree = build_tree(n, m)
         a = np.random.default_rng(20).standard_normal((n, n))
         _, state = compress_leaves(a, tree, r, s, seed=21)
-        lifted = lift_to_parent(*stack_nodes(state[:2]))[0]
+        assert lift_to_parent(*stack_nodes(state[:1])).omega.shape == (1, r, s)
+        lifted = lift_pair(state[2:4])
         assert lifted.omega.shape == (2 * r, s)
         assert lifted.y.shape == (2 * r, s)
 
-    def test_padded_children_lift_as_real_rows(self):
-        # leaves 2 and 3 hold 3 and 2 rows: the short one is zero-padded
+    def test_uneven_children_lift_as_real_rows(self):
+        # leaves 2 and 3 hold 3 and 2 rows, two size classes of one parent
         n, m, r, s = 21, 4, 2, 10
         tree = build_tree(n, m)
         a = np.random.default_rng(45).standard_normal((n, n))
         _, state = compress_leaves(a, tree, r, s, seed=46)
         pair = state[2:4]
         assert [ns.rows for *_, ns in pair] == [3, 2]
-        lifted = lift_to_parent(*stack_nodes(pair))[0]
+        lifted = lift_pair(pair)
         expected_y = np.vstack([u.T @ (ns.y - d @ ns.omega) for u, _, d, ns in pair])
         expected_z = np.vstack([v.T @ (ns.z - d.T @ ns.psi) for _, v, d, ns in pair])
         expected_omega = np.vstack([v.T @ ns.omega for _, v, _, ns in pair])
@@ -298,7 +298,7 @@ class TestComputeRoot:
         a = to_dense(random_hbs(tree, k, seed=22))
         _, state = compress_leaves(a, tree, r, s, seed=23)
         left, right = state
-        root_disc = compute_root(lift_to_parent(*stack_nodes(state))[0])
+        root_disc = compute_root(lift_pair(state))
         u_blk = scipy.linalg.block_diag(left[0], right[0])
         v_blk = scipy.linalg.block_diag(left[1], right[1])
         d_blk = scipy.linalg.block_diag(left[2], right[2])
@@ -309,7 +309,7 @@ class TestComputeRoot:
         n, r, m, s = 16, 3, 8, 17
         tree = build_tree(n, m)
         _, state = compress_leaves(np.zeros((n, n)), tree, r, s, seed=24)
-        root_disc = compute_root(lift_to_parent(*stack_nodes(state))[0])
+        root_disc = compute_root(lift_pair(state))
         np.testing.assert_allclose(root_disc, 0.0, atol=1e-12)
 
     def test_scaling_commutes(self):
@@ -555,18 +555,32 @@ class TestSweepRanges:
 
     @staticmethod
     def sweep(samples, tree, config, chunk, monkeypatch):
-        """The sweep with `chunk` floats per range, its madds and its lift calls."""
+        """The sweep with `chunk` floats per range, its madds and the (rows,
+        nodes) of its lift calls."""
         monkeypatch.setattr(linalg, "L2_FLOATS", chunk)
         lifts = []
 
-        def counting_lift(*args):
-            lifts.append(args[0].shape[0])
-            return lift_to_parent(*args)
+        def counting_lift(u, *args):
+            lifts.append((u.shape[1], u.shape[0]))
+            return lift_to_parent(u, *args)
 
         monkeypatch.setattr(compress, "lift_to_parent", counting_lift)
         with count_madds() as counter:
             f = compress_from_samples(samples, tree, config)
         return f, counter.madds, lifts
+
+    @staticmethod
+    def expected_lifts(tree, r, range_nodes):
+        """Sorted (rows, nodes) of one lift call per range and node size, in
+        ranges of `range_nodes` nodes, or one range a level for None."""
+        calls = []
+        for level in range(tree.depth, 0, -1):
+            sizes = np.array(node_sizes(tree, r, level))
+            step = range_nodes or sizes.size
+            for start in range(0, sizes.size, step):
+                rows, nodes = np.unique(sizes[start : start + step], return_counts=True)
+                calls += zip(rows.tolist(), nodes.tolist())
+        return sorted(calls)
 
     @pytest.mark.parametrize(
         "n, k, r, m", [(512, 4, 6, 16), (333, 4, 8, 24), (40, 3, 6, 20)],
@@ -581,14 +595,37 @@ class TestSweepRanges:
         samples = sample_dense(a, config.validate_for(tree), seed=61)
         f, madds, lifts = self.sweep(samples, tree, config, 1, monkeypatch)
         g, whole_madds, whole_lifts = self.sweep(samples, tree, config, 1 << 40, monkeypatch)
-        assert lifts == [2] * (2**tree.depth - 1)
-        assert whole_lifts == [2**level for level in range(tree.depth, 0, -1)]
+        # each level's lifts cover its 2^level nodes once, one call per range and size
+        assert sorted(lifts) == self.expected_lifts(tree, r, 2)
+        assert sorted(whole_lifts) == self.expected_lifts(tree, r, None)
         assert madds == whole_madds
         assert np.array_equal(f.root_disc, g.root_disc)
         for level in range(1, tree.depth + 1):
             assert np.array_equal(f.U[level], g.U[level])
             assert np.array_equal(f.V[level], g.V[level])
             assert np.array_equal(f.D[level], g.D[level])
+
+    def test_lift_madds_are_the_real_rows_model(self, monkeypatch):
+        # leaves of 20 and 21 rows: every node of q real rows, at every level,
+        # counts 4 r s q + 2 s q^2 madds inside its lift
+        tree = build_tree(333, 24)
+        assert set(tree.leaf_sizes) == {20, 21}
+        r = 8
+        config = CompressionConfig(rank=r, leaf_threshold=24, seed=62)
+        s = config.validate_for(tree)
+        samples = sample_dense(to_dense(random_hbs(tree, 4, seed=62)), s, seed=62)
+        counted = []
+
+        def counting_lift(*args):
+            with count_madds() as counter:
+                lifted = lift_to_parent(*args)
+            counted.append(counter.madds)
+            return lifted
+
+        monkeypatch.setattr(compress, "lift_to_parent", counting_lift)
+        compress_from_samples(samples, tree, config)
+        sizes = [q for level in range(1, tree.depth + 1) for q in node_sizes(tree, r, level)]
+        assert sum(counted) == sum(4 * r * s * q + 2 * s * q * q for q in sizes)
 
     @pytest.mark.parametrize("chunk", [1, linalg.L2_FLOATS], ids=["2-node", "L2"])
     @pytest.mark.parametrize("workers", [2, 3])
@@ -780,6 +817,23 @@ class TestInputChecks:
         config = CompressionConfig(rank=4, leaf_threshold=16, probes=probes)
         with pytest.raises(error, match=match):
             compress_from_samples(samples, tree, config)
+
+    def test_float32_samples_compress_as_their_float64_upcast(self):
+        # samples are read as float64 on entry: on a float32 entry scipy's
+        # in-place triangular inverse writes into a float64 copy, which is lost
+        tree = build_tree(960, 30)
+        config = CompressionConfig(rank=10, leaf_threshold=30, seed=1)
+        samples = sample_dense(to_dense(random_hbs(tree, 10, seed=1)), 40, seed=1)
+        single = SampleSet(*(a.astype(np.float32) for a in samples.arrays))
+        double = SampleSet(*(a.astype(np.float32).astype(np.float64) for a in samples.arrays))
+        assert all(a.dtype == np.float64 for a in single.arrays)
+        f = compress_from_samples(single, tree, config)
+        g = compress_from_samples(double, tree, config)
+        assert np.array_equal(f.root_disc, g.root_disc)
+        for level in range(1, tree.depth + 1):
+            assert np.array_equal(f.U[level], g.U[level])
+            assert np.array_equal(f.V[level], g.V[level])
+            assert np.array_equal(f.D[level], g.D[level])
 
     def test_sample_matrices_must_share_one_shape(self):
         a = np.zeros((8, 4))

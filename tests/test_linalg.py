@@ -129,6 +129,12 @@ class TestGaussianMatrix:
 
 
 class TestCol:
+    def test_float32_input_gives_its_upcasts_basis(self):
+        b = np.random.default_rng(41).standard_normal((12, 4)).astype(np.float32)
+        q = col(b)
+        assert q.dtype == np.float64
+        assert np.array_equal(q, col(b.astype(np.float64)))
+
     def test_identity_input(self):
         q = col(np.eye(3)[:, :2])
         assert q.shape == (3, 2)
@@ -275,6 +281,15 @@ class TestNullspace:
 
 
 class TestLstsqRight:
+    def test_float32_probe_solves_as_its_upcast(self):
+        # LAPACK must see float64 whatever the probe's dtype: on a float32 entry
+        # scipy's in-place triangular inverse writes into a float64 copy, which is lost
+        rng = np.random.default_rng(42)
+        m = rng.standard_normal((4, 12)).astype(np.float32)
+        b = rng.standard_normal((3, 12))
+        x = lstsq_right(b, nullspace(m, 2))
+        assert np.array_equal(x, lstsq_right(b, nullspace(m.astype(np.float64), 2)))
+
     def test_self_solve(self):
         m = np.zeros((2, 4))
         m[0, 0] = 2.0

@@ -83,23 +83,33 @@ def test_benchmark_power_iterations_match_the_library_default():
 
 def test_every_product_in_the_sweep_is_counted():
     # flops.matmul counts each product's madds where it runs; an `@` or a
-    # np.matmul in the sweep's kernels would run uncounted.  lift_to_parent
-    # works on zero-padded stacks and counts real rows by a model instead.
+    # np.matmul in the sweep's kernels would run uncounted.
     found, counted = [], 0
     for path in (SRC / "linalg.py", SRC / "compress.py"):
         tree = ast.parse(path.read_text(), str(path))
-        lift = [node for node in ast.walk(tree) if getattr(node, "name", "") == "lift_to_parent"]
-        exempt = {id(node) for function in lift for node in ast.walk(function)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "matmul":
                 counted += 1
-            if id(node) in exempt:
-                continue
             at_sign = isinstance(getattr(node, "op", None), ast.MatMult)  # `a @ b`, `a @= b`
             if at_sign or isinstance(node, ast.Attribute) and ast.unparse(node) == "np.matmul":
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"products that flops.matmul does not count: {found}"
     assert counted >= 10, f"scan found only {counted} counted products"
+
+
+def test_no_check_real_result_is_discarded():
+    # check_real returns its input as float64; a bare `check_real(...)` statement
+    # checks the dtype but keeps the caller's array, float32 or int, unconverted
+    found, calls = [], 0
+    for path in sorted(SRC.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("check_real"):
+                calls += 1
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                if ast.unparse(node.value.func).endswith("check_real"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert calls >= 4, f"scan found only {calls} check_real calls"
+    assert not found, f"check_real results discarded: {found}"
 
 
 def test_lapack_is_reached_only_through_the_entry_guard():
