@@ -7,7 +7,9 @@ verification time the whole error estimate; compression time also depends
 on `workers`, the threads its level sweep ran on (`linalg.WORKERS`).  The
 relative error ||A_compressed - A|| / ||A|| is estimated after the probe
 counters have been snapshotted, so every record shows exactly the probes
-compression used, and apart from them the oracle columns the estimate took.
+compression used, and apart from them the oracle columns the estimate took:
+one per direction for each step on A_compressed - A, as the reference norm
+is A_compressed's own.
 """
 
 import dataclasses
@@ -19,8 +21,8 @@ import numpy as np
 
 from . import factorization, linalg
 from .compress import CompressionConfig, compress_from_samples, draw_samples
-from .errors import ConfigurationError, NonFiniteError
-from .linalg import POWER_ITERS, STREAM_APPLY, STREAM_POWER, check_power_iters, gaussian_matrix
+from .errors import ConfigurationError, NonFiniteError, check_integer
+from .linalg import POWER_ITERS, STREAM_APPLY, STREAM_POWER, gaussian_matrix
 from .operators import (
     bie_oracle,
     default_contour,
@@ -147,14 +149,6 @@ class _Bidiagonalization:
         self.forward = True
         self.done = beta == 0.0 or k == self.iters or grew <= _STOP_TOL * top
 
-    def ritz_vector(self):
-        """V_{k+1} y for the top right singular vector y of the bidiagonal (a
-        unit vector); v_1 before the first step."""
-        if self.k == 0:
-            return self.v[:, :1]
-        _, _, vt = np.linalg.svd(self.b[: self.k, : self.k + 1])
-        return self.v[:, : self.k + 1] @ vt[:1].T
-
 
 def estimate_rel_err(oracle, f, iters=POWER_ITERS, seed=0):
     """Estimate ||A - F|| / ||A|| for the oracle A and the factorization f,
@@ -163,40 +157,35 @@ def estimate_rel_err(oracle, f, iters=POWER_ITERS, seed=0):
     Two Golub-Kahan-Lanczos chains start from one random unit vector and run
     in lockstep, each for at most `iters` steps (`_Bidiagonalization` says when
     one stops sooner).  The error chain runs on E = A - F, at one oracle
-    column per direction a step.  The reference chain runs on F, whose norm is
-    within ||E|| of ||A||, and takes its last step on the oracle: for F's top
-    right Ritz vector x, sqrt(||A^T A x||) is a lower bound on ||A||, as the
-    error chain's estimate is on ||E||.  Should F x_0 be zero, the reference
-    chain runs on the oracle instead.  While both chains run, each step makes
-    one n x 2 product of F per direction, error chain first.  The oracle sees
-    one column per product the error chain takes (k + 1 per direction for k
-    steps, counting the reference's) unless the reference fell back on it.
-    A zero reference raises NonFiniteError.
+    column per direction a step, so the oracle sees k columns per direction
+    for k error steps.  The reference chain runs on F alone: since
+    | ||F|| - ||A|| | <= ||E||, its estimate of ||F|| stands for ||A|| to
+    within a factor 1 +- rel_err.  Both estimates are lower bounds on their
+    norms.  While both chains run, each step makes one n x 2 product of F per
+    direction, error chain first.  A zero reference (F x_0 = 0) raises
+    NonFiniteError.
     """
-    check_power_iters(iters)
+    if check_integer("power iterations", iters) < 1:
+        raise ConfigurationError(f"power iterations must be positive, got {iters}")
     # linalg's draw and factorization's apply through their module attributes,
     # where the benchmark's tracer wraps them
     x0 = linalg.gaussian_matrix(oracle.n, 1, seed, STREAM_POWER)
     x0 = x0 / np.linalg.norm(x0)
     err, ref = _Bidiagonalization(x0, iters), _Bidiagonalization(x0, iters)
-    ref_on_oracle = False
     for half in range(2 * iters):
         if err.done and ref.done:
             break
         transpose = half % 2 == 1
-        a = oracle.apply_transpose_batch if transpose else oracle.apply_batch
-        on_f = [c.q for c in (err, ref) if not c.done and not (c is ref and ref_on_oracle)]
-        fq = factorization.apply_matrix(f, np.hstack(on_f), transpose) if on_f else None
+        live = [c for c in (err, ref) if not c.done]
+        fq = factorization.apply_matrix(f, np.hstack([c.q for c in live]), transpose)
         if not err.done:
+            a = oracle.apply_transpose_batch if transpose else oracle.apply_batch
             err.take(a(err.q) - fq[:, :1])
         if not ref.done:
-            ref_on_oracle = ref_on_oracle or half == 0 and not fq[:, 1:].any()  # F x_0 = 0
-            ref.take(a(ref.q) if ref_on_oracle else fq[:, -1:])
-    x = ref.ritz_vector()
-    norm_a = np.sqrt(np.linalg.norm(oracle.apply_transpose_batch(oracle.apply_batch(x))))
-    if norm_a == 0.0:
+            ref.take(fq[:, -1:])
+    if ref.estimate == 0.0:
         raise NonFiniteError("reference operator norm estimate is zero; relative error undefined")
-    return err.estimate / norm_a
+    return err.estimate / ref.estimate
 
 
 def _timed_apply(f, seed):
@@ -210,13 +199,12 @@ def _timed_apply(f, seed):
 
 
 def run_once(
-    problem: str, n: int, config: CompressionConfig, power_iters: int = POWER_ITERS
+    problem: str, n: int, config: CompressionConfig
 ) -> tuple[RunRecord, factorization.HbsFactorization]:
     """Compress one problem instance and measure the reported quantities;
     returns (record, factorization)."""
     tree = build_tree(n, config.leaf_threshold)
     s = config.validate_for(tree)  # reject bad configs before oracle assembly
-    check_power_iters(power_iters)
     start = time.perf_counter()
     oracle = build_oracle(problem, n, config)
     t_build = time.perf_counter() - start
@@ -228,7 +216,7 @@ def run_once(
     matvecs_a, matvecs_at = oracle.matvec_count  # snapshot before verification
     t_apply = _timed_apply(f, config.seed)
     start = time.perf_counter()
-    rel_err = estimate_rel_err(oracle, f, iters=power_iters, seed=config.seed)
+    rel_err = estimate_rel_err(oracle, f, seed=config.seed)
     t_verify = time.perf_counter() - start
     verify_matvecs = oracle.matvec_count[0] - matvecs_a
     record = RunRecord(
@@ -253,18 +241,21 @@ def run_once(
     return record, f
 
 
-def sweep(problem, n_list, config, out_path, power_iters=POWER_ITERS, as_json=False):
+def sweep(problem, n_list, config, out_path, as_json=False):
     """Run `run_once` over ascending sizes, flushing one output row per run
-    so partial results survive a failed size."""
+    so partial results survive a failed size.  The config is checked against
+    every size's tree first, so a rejected config writes no file."""
     if not n_list or list(n_list) != sorted(n_list):
         raise ConfigurationError(f"size list must be ascending and nonempty, got {list(n_list)}")
+    for n in n_list:
+        config.validate_for(build_tree(n, config.leaf_threshold))
     records = []
     with open(out_path, "w") as fh:
         if not as_json:
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         for n in n_list:
-            record, _ = run_once(problem, n, config, power_iters=power_iters)
+            record, _ = run_once(problem, n, config)
             fh.write((record.json_row() if as_json else record.csv_row()) + "\n")
             fh.flush()
             records.append(record)

@@ -18,7 +18,6 @@ import sys
 from .bench import PROBLEMS, build_oracle, estimate_rel_err, run_once, sweep
 from .compress import CompressionConfig
 from .errors import FormatError, HbsError, ResourceLimitError
-from .linalg import POWER_ITERS, check_power_iters
 from .serialize import load_factorization, save_factorization
 
 
@@ -33,9 +32,6 @@ def _add_config_arguments(parser):
         help="probe columns s (default: max(r + max leaf size, 3r))",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--power-iters", type=int, default=POWER_ITERS, help="most Lanczos steps for rel_err"
-    )
 
 
 def _size_list(text):
@@ -76,9 +72,6 @@ def build_parser():
     p_verify.add_argument("--load", required=True)
     p_verify.add_argument("--problem", required=True, choices=PROBLEMS)
     p_verify.add_argument("--seed", type=int, default=0, help="the seed the file was built with")
-    p_verify.add_argument(
-        "--power-iters", type=int, default=POWER_ITERS, help="most Lanczos steps for rel_err"
-    )
     return parser
 
 
@@ -91,9 +84,7 @@ def _print_record(record, as_json):
 
 
 def _cmd_compress(args):
-    record, f = run_once(
-        args.problem, args.n, _config(args), power_iters=args.power_iters
-    )
+    record, f = run_once(args.problem, args.n, _config(args))
     if args.save:
         save_factorization(f, args.save)
     _print_record(record, args.json)
@@ -101,14 +92,7 @@ def _cmd_compress(args):
 
 
 def _cmd_sweep(args):
-    sweep(
-        args.problem,
-        args.n_list,
-        _config(args),
-        args.out,
-        power_iters=args.power_iters,
-        as_json=args.json,
-    )
+    sweep(args.problem, args.n_list, _config(args), args.out, as_json=args.json)
     return 0
 
 
@@ -119,9 +103,8 @@ def _cmd_verify(args):
         raise FormatError(f"{args.load}: {exc}") from exc
     config = CompressionConfig(rank=f.rank, leaf_threshold=f.tree.leaf_threshold, seed=args.seed)
     config.validate_for(f.tree)  # reject a bad seed before oracle assembly
-    check_power_iters(args.power_iters)
     oracle = build_oracle(args.problem, f.n, config)
-    rel_err = estimate_rel_err(oracle, f, iters=args.power_iters, seed=args.seed)
+    rel_err = estimate_rel_err(oracle, f, seed=args.seed)
     print(f"rel_err: {rel_err:.6e}")
     print("oracle columns (a / at): {} / {}".format(*oracle.matvec_count))
     return 0

@@ -28,7 +28,7 @@ from .flops import add_madds
 from .linalg import STREAM_SYNTHETIC, blocks, seeded_rng
 from .tree import ClusterTree
 
-DENSE_CAP_DEFAULT = 8192
+DENSE_CAP = 8192  # largest n that to_dense expands
 _ORTHONORMALITY_TOL = 1e-10
 
 
@@ -238,11 +238,11 @@ def apply_transpose(f: HbsFactorization, q: np.ndarray) -> np.ndarray:
     return apply_matrix(f, _column(f, q), transpose=True)[:, 0]
 
 
-def to_dense(f: HbsFactorization, max_n: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+def to_dense(f: HbsFactorization) -> np.ndarray:
     """Expand the factorization level by level into an explicit dense matrix
-    (test oracle; refuses n above `max_n` to keep the linear-memory contract)."""
-    if f.n > max_n:
-        raise ResourceLimitError(f"refusing to densify a {f.n} x {f.n} matrix (cap {max_n})")
+    (test oracle; refuses n above DENSE_CAP to keep the linear-memory contract)."""
+    if f.n > DENSE_CAP:
+        raise ResourceLimitError(f"refusing to densify a {f.n} x {f.n} matrix (cap {DENSE_CAP})")
     core = f.root_disc
     for u, v, d in zip(f.U[1:], f.V[1:], f.D[1:]):
         nodes, rows, r = u.shape

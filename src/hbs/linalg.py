@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 from .errors import (
-    ConfigurationError,
     DimensionError,
     IllConditionedProbeError,
     NonFiniteError,
@@ -241,10 +240,3 @@ def lstsq_right(b: np.ndarray, factor: ProbeFactor) -> np.ndarray:
             index=int(bad[0]) if factor.q1.ndim > 2 else None,
         )
     return matmul(matmul(b, factor.q1), factor.inv)
-
-
-def check_power_iters(iters: int) -> None:
-    """Reject a cap on rel_err's Lanczos steps (`--power-iters`) that is not an
-    integer of at least one."""
-    if check_integer("power iterations", iters) < 1:
-        raise ConfigurationError(f"power iterations must be positive, got {iters}")

@@ -206,9 +206,9 @@ def test_power_method_metric_sanity():
         sing = np.concatenate(([3.0], rng.uniform(0.1, 1.5, size=n - 1)))
         e = (u * sing) @ v.T
         true = 3.0
-        # the oracle is the identity, the compressed operator I - E
-        f = dense_factorization(np.eye(n) - e)
-        est = bench.estimate_rel_err(dense_oracle(np.eye(n)), f, iters=20, seed=trial)
+        # the compressed operator is the identity, the oracle I + E
+        f = dense_factorization(np.eye(n))
+        est = bench.estimate_rel_err(dense_oracle(np.eye(n) + e), f, iters=20, seed=trial)
         checked.append(est / true)
         assert 0.9 * true <= est <= true * (1.0 + 1e-12)
     report("power-method metric", f"estimate/true in {min(checked):.4f}..{max(checked):.4f}")

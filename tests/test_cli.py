@@ -143,6 +143,13 @@ class TestSweepCommand:
         assert err.startswith("configuration error: size list must be ascending and nonempty")
         assert not out.exists()
 
+    def test_rejected_config_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--problem", "synthetic", "--n-list", "256,512", "--rank", "0"]
+        assert cli.main([*argv, "--leaf", "16", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "sweep.csv"
         argv = ["sweep", "--problem", "synthetic", "--n-list", "128", "--rank", "6"]
@@ -171,16 +178,15 @@ class TestVerifyCommand:
     def test_verify_prints_its_oracle_columns(self, tmp_path, capsys):
         path = tmp_path / "f.hbsf"
         base = ["--problem", "synthetic", "--n", "256", "--rank", "8", "--leaf", "16"]
-        base += ["--power-iters", "5"]
         assert cli.main(["compress", *base, "--save", str(path), "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
-        argv = ["verify", "--load", str(path), "--problem", "synthetic", "--power-iters", "5"]
+        argv = ["verify", "--load", str(path), "--problem", "synthetic"]
         assert cli.main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        # one column per direction for each error step, one for the reference
+        # one column per direction for each error step, none for the reference
         # norm: the same file and seed stop the estimate where `compress` did
         k = record["verify_matvecs"]
-        assert 2 <= k <= 5 + 1
+        assert 1 <= k <= linalg.POWER_ITERS
         assert lines[0] == f"rel_err: {record['rel_err']:.6e}"
         assert lines[1] == f"oracle columns (a / at): {k} / {k}"
 
@@ -189,7 +195,7 @@ class TestVerifyCommand:
             cli.main(["verify", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert all(flag in out for flag in ("--load", "--problem", "--seed", "--power-iters"))
+        assert all(flag in out for flag in ("--load", "--problem", "--seed"))
         assert not any(flag in out for flag in ("--n ", "--rank", "--leaf"))
 
 
@@ -231,25 +237,6 @@ class TestNegativeSeed:
         self._fails(argv, capsys)
 
 
-class TestPowerIters:
-    CONFIG = ["--problem", "synthetic", "--rank", "6", "--leaf", "12"]
-
-    def test_verify_rejects_zero_before_oracle_assembly(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "f.hbsf"
-        assert cli.main(["compress", *self.CONFIG, "--n", "128", "--save", str(path)]) == 0
-        capsys.readouterr()
-
-        def no_oracle(*args):
-            raise AssertionError("the oracle was built for zero power iterations")
-
-        monkeypatch.setattr(cli, "build_oracle", no_oracle)
-        argv = ["verify", "--load", str(path), "--problem", "bie-dl", "--power-iters", "0"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1, err
-        assert "configuration error: power iterations must be positive, got 0" in err
-
-
 class TestVerifyBadFile:
     # A missing or malformed --load file is bad outside input: exit code 2
     # with a one-line message, not a traceback.
@@ -283,6 +270,16 @@ class TestVerifyBadFile:
         f.U[f.tree.depth] *= 2.0
         save_factorization(f, path)
         assert "orthonormality" in self._verify_fails(path, capsys)
+
+    def test_zero_blocks_give_a_zero_reference(self, tmp_path, capsys):
+        # a valid file whose operator is zero: ||A - F|| / ||F|| has no value
+        path = self._saved(tmp_path, capsys)
+        f = load_factorization(path)
+        for level in range(1, f.tree.depth + 1):
+            f.D[level][...] = 0.0
+        f.root_disc[...] = 0.0
+        save_factorization(f, path)
+        assert self._verify_fails(path, capsys).startswith("non-finite data: ")
 
 
 class TestNonFiniteData:

@@ -8,7 +8,7 @@ import scipy.linalg
 from conftest import level_bounds, node_blocks
 
 import hbs
-from hbs import linalg
+from hbs import factorization, linalg
 from hbs.errors import (
     ConfigurationError,
     DimensionError,
@@ -289,10 +289,11 @@ class TestToDense:
         f = zeroed_discs(random_hbs(build_tree(32, 4), 2, seed=12))
         np.testing.assert_array_equal(to_dense(f), np.zeros((32, 32)))
 
-    def test_respects_cap(self):
+    def test_respects_cap(self, monkeypatch):
         f = random_hbs(build_tree(64, 8), 3, seed=13)
-        with pytest.raises(ResourceLimitError):
-            to_dense(f, max_n=32)
+        monkeypatch.setattr(factorization, "DENSE_CAP", 32)
+        with pytest.raises(ResourceLimitError, match="cap 32"):
+            to_dense(f)
 
 
 class TestStorage:

@@ -509,8 +509,8 @@ class TestStacks:
 
 class TestPowerMethodRelnorm:
     # `bench.estimate_rel_err` on dense operators.  Each case names an error E
-    # and a reference A and hands the estimator the oracle A and the compressed
-    # operator F = A - E.
+    # and a compressed operator F, whose norm is the reference, and hands the
+    # estimator F and the oracle A = F + E.
     def test_zero_error_operator(self):
         n = 16
         ident = np.eye(n)
@@ -521,28 +521,27 @@ class TestPowerMethodRelnorm:
         n = 8
         d = np.ones(n)
         d[0] = 3.0
-        f = dense_factorization(np.diag(1.0 - d))
-        est = estimate_rel_err(dense_oracle(np.eye(n)), f, iters=50, seed=0)
+        f = dense_factorization(np.eye(n))
+        est = estimate_rel_err(dense_oracle(np.eye(n) + np.diag(d)), f, iters=50, seed=0)
         assert 2.999 <= est <= 3.001
 
     def test_identical_operators_give_one(self):
+        # E = F: the oracle 2F takes both chains along the same vectors
         rng = np.random.default_rng(7)
         a = rng.standard_normal((32, 32))
-        zero = dense_factorization(np.zeros((32, 32)))
-        est = estimate_rel_err(dense_oracle(a), zero, iters=20, seed=4)
-        assert 0.9 <= est <= 1.0
+        est = estimate_rel_err(dense_oracle(2.0 * a), dense_factorization(a), iters=20, seed=4)
+        assert abs(est - 1.0) <= 1e-12
 
     def test_estimate_is_lower_bound(self):
         rng = np.random.default_rng(12)
         for seed in range(5):
             a = rng.standard_normal((24, 24))
             true = np.linalg.norm(a, 2)
-            f = dense_factorization(np.eye(24) - a)
-            est = estimate_rel_err(dense_oracle(np.eye(24)), f, iters=20, seed=seed)
+            f = dense_factorization(np.eye(24))
+            est = estimate_rel_err(dense_oracle(np.eye(24) + a), f, iters=20, seed=seed)
             assert est <= true * (1.0 + 1e-12)
 
     def test_rejects_zero_iterations(self):
-        # the same error and text as `run_once` and `hbs verify` give
         ident = np.eye(4)
         with pytest.raises(ConfigurationError, match="power iterations must be positive, got 0"):
             estimate_rel_err(dense_oracle(ident), dense_factorization(ident), iters=0)

@@ -6,19 +6,24 @@ reported as missing there and its metrics vanish.  The driver
 that no longer resolves crashes the run.  So every such name must resolve
 here.  The library also holds no `assert` statement, which `python -O` would
 strip, raises no error type that is not an `HbsError`, names every RNG
-stream it draws from, and takes oracle products only to sample and to verify."""
+stream it draws from, and takes oracle products only to sample and to verify.
+README.md names exactly the command-line flags the CLI parser takes."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import hbs
+from hbs import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "hbs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = PERFBENCH / "tracer.py"
 RUN = PERFBENCH / "run.py"
 
@@ -295,3 +300,21 @@ def test_every_rng_stream_is_named():
                 found.append(f"{path.name}:{node.lineno}")
     assert calls >= 5, f"scan found only {calls} draws"
     assert not found, f"draws without a named RNG stream: {found}"
+
+
+def test_readme_flags_are_the_cli_flags():
+    # a flag the CLI drops must leave the docs, and a new one must enter them;
+    # pip's --no-build-isolation is the one flag README names for another tool
+    parser = cli.build_parser()
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser, *(sub for action in subparsers for sub in action.choices.values())]
+    flags = {
+        option
+        for each in parsers
+        for action in each._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
+    assert len(flags) >= 10, f"parser scan found only {sorted(flags)}"
+    assert named - {"--no-build-isolation"} == flags
